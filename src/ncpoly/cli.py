@@ -27,12 +27,8 @@ from .functional import gram, strict_positivity
 from .orthopoly import (OrthoBasis, determinant_formula, orthogonalize,
                         orthonormality_residual)
 from .recurrence import extract, favard, residual_check
+from .serialize import _cx
 from .words import Word, enumerate_level, words_up_to
-
-
-def _cx(v: complex) -> list[float]:
-    v = complex(v)
-    return [v.real, v.imag]
 
 
 def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> None:
@@ -42,7 +38,8 @@ def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> N
 
 def cmd_orthopoly(args) -> tuple[str, dict, list]:
     f = serialize.load_moments(args.moments)
-    pos = strict_positivity(f, args.level)
+    G = gram(f, args.level)
+    pos = strict_positivity(f, args.level, G=G)
     if args.method == "determinant":
         coeffs = {}
         for w in words_up_to(args.level, f.n_generators):
@@ -50,8 +47,8 @@ def cmd_orthopoly(args) -> tuple[str, dict, list]:
         basis = OrthoBasis(n_generators=f.n_generators, level=args.level,
                            coeffs=coeffs)
     else:
-        basis = orthogonalize(f, args.level)
-    resid = orthonormality_residual(basis, gram(f, args.level))
+        basis = orthogonalize(f, args.level, G=G)
+    resid = orthonormality_residual(basis, G)
     artifacts = []
     if args.out:
         serialize.save_basis(basis, args.out)
@@ -64,8 +61,9 @@ def cmd_orthopoly(args) -> tuple[str, dict, list]:
 
 def cmd_recurrence(args) -> tuple[str, dict, list]:
     f = serialize.load_moments(args.moments)
-    basis = orthogonalize(f, args.levels)
-    coeffs = extract(f, basis, args.levels)
+    G = gram(f, args.levels)
+    basis = orthogonalize(f, args.levels, G=G)
+    coeffs = extract(f, basis, args.levels, G=G)
     herm = max(float(np.max(np.abs(a - a.conj().T)))
                for a in coeffs.A.values())
     diag_min = min(float(np.min(np.diag(coeffs.b_block(n)).real))
@@ -88,8 +86,9 @@ def cmd_favard(args) -> tuple[str, dict, list]:
     coeffs = serialize.load_coeffs(args.coeffs)
     levels = args.levels if args.levels is not None else coeffs.levels
     basis, f = favard(coeffs, levels)
-    resid = orthonormality_residual(basis, gram(f, levels))
-    back = extract(f, basis, levels)
+    G = gram(f, levels)
+    resid = orthonormality_residual(basis, G)
+    back = extract(f, basis, levels, G=G)
     roundtrip = 0.0
     for key in back.A:
         roundtrip = max(roundtrip, float(np.max(np.abs(back.A[key] - coeffs.A[key]))))

@@ -15,6 +15,17 @@ The Gram matrix at a level collects kernel entries over all words of length
 up to that level in graded-lex order. Its entry (sigma, tau) pairs F_tau
 against F_sigma, conjugate-linearly in sigma; coefficient vectors p, q of
 polynomials P, Q therefore have inner product <P, Q> = q^H G p.
+
+Moments are kept at the edge as a dict keyed by ``Word`` (``f.moments``,
+which callers may change). A computation that needs them locates them by
+graded-lex rank, read off each word's letters (``words.rank_groups``); no
+rank array is kept on the functional, so none can go stale. The hankel Gram
+is then a block gather: block (i, j) is the length-(i + j) moment array
+reshaped to N^i x N^j, its rows permuted by the reversal of the length-i
+words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
+involution checks compare each stored word with its reversal rank by rank.
+The moments of an operator model come one length at a time as one matrix
+product (``_hankel_moments``, shared with ``recurrence.favard``).
 """
 
 from __future__ import annotations
@@ -24,11 +35,67 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataIncompleteError, PositivityError, ValidationError
-from .words import EMPTY, Word, concat, involution, words_up_to
+from .words import (EMPTY, Word, concat, enumerate_level, involution,
+                    level_offsets, rank_groups, reversal, word_at, words_up_to)
 
 KINDS = ("hankel", "toeplitz", "generic")
 
 _SYM_TOL = 1e-10
+
+
+def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int
+                  ) -> list[np.ndarray]:
+    """Moments of every word of length <= top, one rank-indexed array per length.
+
+    Raises DataIncompleteError naming the first absent word in graded-lex
+    order. Stored words with letters beyond n_generators are not read.
+    """
+    N = n_generators
+    groups, _ = rank_groups(moments, N)
+    vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
+    out = []
+    for n in range(top + 1):
+        arr = np.zeros(N**n, dtype=complex)
+        stored = np.zeros(N**n, dtype=bool)
+        if n in groups:
+            pos, ranks, _ = groups[n]
+            arr[ranks] = vals[pos]
+            stored[ranks] = True
+        if not stored.all():
+            raise DataIncompleteError(str(word_at(n, int(np.argmin(stored)), N)))
+        out.append(arr)
+    return out
+
+
+def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: float
+                      ) -> tuple[str, Word, Word] | None:
+    """First stored word w whose partner I(w) breaks s_{I(w)} = conj(s_w).
+
+    Returns None, ("missing", w, I(w)) when the partner is not stored, or
+    ("asymmetric", w, I(w)) when |s_{I(w)} - conj(s_w)| exceeds tol times
+    max(1, max |s|); w is the first such word in graded-lex order. A word
+    with a letter beyond n_generators raises ValidationError.
+    """
+    N = n_generators
+    groups, foreign = rank_groups(moments, N)
+    if foreign:
+        w = list(moments)[foreign[0]]
+        raise ValidationError(f"word {w} uses letters beyond {N} generators")
+    vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
+    scale = float(np.nanmax(np.abs(vals), initial=1.0))
+    for n in sorted(groups):
+        pos, ranks, rev = groups[n]
+        order = np.argsort(ranks)
+        partner = order[np.searchsorted(ranks[order], rev).clip(max=len(order) - 1)]
+        found = ranks[partner] == rev
+        v = vals[pos]
+        bad = ~found | (np.abs(v[partner] - np.conj(v)) > tol * scale)
+        if bad.any():
+            cand = np.flatnonzero(bad)
+            i = cand[np.argmin(ranks[cand])]
+            return (("asymmetric" if found[i] else "missing"),
+                    word_at(n, int(ranks[i]), N), word_at(n, int(rev[i]), N))
+    return None
 
 
 @dataclass
@@ -54,20 +121,19 @@ class MomentFunctional:
             raise ValidationError("n_generators must be >= 1")
         if self.max_degree < 0:
             raise ValidationError("max_degree must be >= 0")
-        self.moments = {w: complex(v) for w, v in self.moments.items()}
+        self.moments = dict(zip(self.moments.keys(), map(complex, self.moments.values())))
         s_e = self.moments.get(EMPTY)
         if s_e is None or abs(s_e - 1.0) > 1e-9:
             raise ValidationError("functional must be unital: moment at 'e' must be 1")
-        scale = max(1.0, max(abs(v) for v in self.moments.values()))
         if self.kind == "hankel":
-            for w, v in self.moments.items():
-                rev = involution(w)
-                other = self.moments.get(rev)
-                if other is None:
-                    raise ValidationError(f"moment for {rev} missing (involution partner of {w})")
-                if abs(other - np.conj(v)) > _SYM_TOL * scale:
+            defect = _involution_defect(self.moments, self.n_generators, _SYM_TOL)
+            if defect is not None:
+                what, w, rev = defect
+                if what == "missing":
                     raise ValidationError(
-                        f"involution symmetry violated at {w}: s_{rev} != conj(s_{w})")
+                        f"moment for {rev} missing (involution partner of {w})")
+                raise ValidationError(
+                    f"involution symmetry violated at {w}: s_{rev} != conj(s_{w})")
         if self.kind == "generic":
             if self.kernel is None:
                 raise ValidationError("generic kind requires a kernel table")
@@ -76,6 +142,7 @@ class MomentFunctional:
                 rv = self.kernel.get((t, s))
                 if rv is not None and abs(rv - np.conj(v)) > _SYM_TOL * max(1.0, abs(v)):
                     raise ValidationError(f"kernel not Hermitian at ({s}, {t})")
+            scale = max(1.0, max(abs(v) for v in self.moments.values()))
             for w, v in self.moments.items():
                 kv = self._generic_lookup(EMPTY, w)
                 if kv is not None and abs(kv - v) > _SYM_TOL * scale:
@@ -135,16 +202,48 @@ class GramMatrix:
 
 
 def gram(f: MomentFunctional, level: int) -> GramMatrix:
-    ws = words_up_to(level, f.n_generators)
-    m = len(ws)
-    G = np.empty((m, m), dtype=complex)
-    for i, s in enumerate(ws):
-        for j, t in enumerate(ws):
-            if j < i:
-                G[i, j] = np.conj(G[j, i])
-            else:
-                G[i, j] = kernel_entry(f, s, t)
+    """Gram matrix of the kernel over all words of length <= level.
+
+    The upper triangle is filled (hankel and toeplitz kinds block by block
+    from rank arrays, generic entry by entry) and mirrored, so the result is
+    exactly Hermitian. A word the kernel needs but the functional does not
+    store raises DataIncompleteError naming it.
+    """
+    N = f.n_generators
+    ws = words_up_to(level, N)
+    offs = level_offsets(N, level)
+    G = np.zeros((len(ws), len(ws)), dtype=complex)
+    if f.kind == "hankel":
+        m = _moment_arrays(f.moments, N, 2 * level)
+        for i in range(level + 1):
+            perm = reversal(i, N)
+            for j in range(i, level + 1):
+                G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = m[i + j].reshape(N**i, N**j)[perm]
+    elif f.kind == "toeplitz":
+        c = _moment_arrays(f.moments, N, level)
+        for i in range(level + 1):
+            rows = np.arange(N**i)
+            for j in range(i, level + 1):
+                # K(s, s.a) = c_a: row rank(s) holds c at columns rank(s) N^(j-i) + rank(a)
+                block = np.zeros((N**i, N**i, N ** (j - i)), dtype=complex)
+                block[rows, rows] = c[j - i]
+                G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block.reshape(N**i, N**j)
+    else:
+        for i, s in enumerate(ws):
+            for j in range(i, len(ws)):
+                G[i, j] = kernel_entry(f, s, ws[j])
+    for i in range(len(ws)):
+        G[i + 1:, i] = np.conj(G[i, i + 1:])
     return GramMatrix(level=level, words=ws, entries=G)
+
+
+def _gram_at(f: MomentFunctional, level: int, G: GramMatrix | None) -> GramMatrix:
+    """The caller's Gram matrix, or a new one when none is given."""
+    if G is None:
+        return gram(f, level)
+    if G.level != level:
+        raise ValidationError(f"Gram matrix is for level {G.level}, need {level}")
+    return G
 
 
 @dataclass
@@ -155,15 +254,17 @@ class PositivityResult:
     certificate: dict[Word, complex] | None = None
 
 
-def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9) -> PositivityResult:
+def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
+                      G: GramMatrix | None = None) -> PositivityResult:
     """Decide strict positive definiteness of the Gram matrix at a level.
 
     The test is min eigenvalue > tol * max(1, largest diagonal entry), via a
     symmetric eigensolver. On failure the certificate is the unit eigenvector
     for the minimal eigenvalue, keyed by words: a polynomial of near-zero
-    norm against the functional.
+    norm against the functional. ``G`` is the Gram matrix at the level when
+    the caller has built it already.
     """
-    G = gram(f, level)
+    G = _gram_at(f, level, G)
     vals, vecs = np.linalg.eigh(G.entries)
     threshold = tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
     lam = float(vals[0])
@@ -175,8 +276,9 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9) -> Pos
                             certificate=cert)
 
 
-def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9) -> PositivityResult:
-    res = strict_positivity(f, level, tol)
+def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
+                              G: GramMatrix | None = None) -> PositivityResult:
+    res = strict_positivity(f, level, tol, G)
     if not res.ok:
         raise PositivityError(
             f"Gram matrix at level {level} is not strictly positive "
@@ -205,30 +307,35 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError("v must be a unit vector")
 
-    vectors: dict[Word, np.ndarray] = {EMPTY: v}
-    moments: dict[Word, complex] = {EMPTY: complex(np.vdot(v, v))}
-    frontier = [EMPTY]
-    for _ in range(max_degree):
-        nxt = []
-        for w in frontier:
-            base = vectors[w]
-            for k in range(1, n + 1):
-                kw = Word((k,) + w.letters)
-                vec = X[k - 1] @ base
-                vectors[kw] = vec
-                moments[kw] = complex(np.vdot(v, vec))
-                nxt.append(kw)
-        frontier = nxt
-    # the kernel symmetry holds in exact arithmetic; make it exact in floats
-    for w in list(moments):
-        rev = involution(w)
-        if rev >= w:
-            avg = (moments[w] + np.conj(moments[rev])) / 2.0
-            moments[w] = avg
-            moments[rev] = complex(np.conj(avg))
-    moments[EMPTY] = 1.0 + 0.0j
+    # rows X_w v by rank, level by level (X_{k.u} v = X_k X_u v), to half the degree
+    half = (max_degree + 1) // 2
+    vecs = [v[None, :]]
+    for _ in range(half):
+        vecs.append(np.concatenate([vecs[-1] @ X[k].T for k in range(n)]))
     return MomentFunctional(n_generators=n, kind="hankel", max_degree=max_degree,
-                            moments=moments)
+                            moments=_hankel_moments(vecs, n, max_degree))
+
+
+def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
+                    ) -> dict[Word, complex]:
+    """Moments s_w = <x_w, x_e> to length top of vectors with x_{k.u} = Y_k x_u.
+
+    ``vecs[n][r]`` is x_w for the length-n word of rank r, with Y self-adjoint,
+    for n up to h >= top / 2. A word of length m splits as w = p.q with
+    |q| = min(h, m), so s_w = <x_q, x_{I(p)}> and each length is one matrix
+    product. The symmetry s_{I(w)} = conj(s_w), exact in exact arithmetic, is
+    then made exact in floats, and s_e is set to 1.
+    """
+    N = n_generators
+    h = len(vecs) - 1
+    out = {EMPTY: 1.0 + 0.0j}
+    for m in range(1, top + 1):
+        b = min(h, m)
+        a = m - b
+        s = (vecs[a][reversal(a, N)].conj() @ vecs[b].T).reshape(-1)
+        s = (s + np.conj(s[reversal(m, N)])) / 2.0
+        out.update(zip(enumerate_level(m, N), s.tolist()))
+    return out
 
 
 def inner_product(f: MomentFunctional, p: dict[Word, complex], q: dict[Word, complex]) -> complex:

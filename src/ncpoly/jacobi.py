@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
-from .functional import MomentFunctional, gram
+from .functional import MomentFunctional, _involution_defect, gram
 from .orthopoly import orthogonalize
-from .recurrence import RecurrenceCoeffs, _level_offsets, extract
-from .words import EMPTY, Word, involution
+from .recurrence import RecurrenceCoeffs, extract
+from .words import EMPTY, Word, level_offsets
 
 SYMMETRY_TOL = 1e-10
 
@@ -55,7 +55,7 @@ def build(coeffs: RecurrenceCoeffs, level: int) -> list[BlockJacobi]:
         raise ValidationError(
             f"need recurrence blocks to level {level + 1}, have {coeffs.levels}")
     N = coeffs.n_generators
-    offs = _level_offsets(N, level)
+    offs = level_offsets(N, level)
     S = offs[level + 1]
     out = []
     for k in range(1, N + 1):
@@ -123,17 +123,16 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     """
     vals = {Word.parse(w) if isinstance(w, str) else w: complex(s)
             for w, s in moments.items()}
-    scale = max([1.0] + [abs(s) for s in vals.values()])
-    for w, s in vals.items():
-        rev = involution(w)
-        if rev not in vals:
+    defect = _involution_defect(vals, n_generators, SYMMETRY_TOL)
+    if defect is not None:
+        what, w, rev = defect
+        if what == "missing":
             raise DataIncompleteError(str(rev), f"moment for {rev} missing "
                                       f"(involution partner of {w})")
-        if abs(vals[rev] - np.conj(s)) > SYMMETRY_TOL * scale:
-            return HamburgerResult(
-                positive=False, strictly_positive=False, min_eigenvalue=float("nan"),
-                reason=f"involution symmetry fails at {w}: "
-                       f"s_I(w) = {vals[rev]:.6g}, conj(s_w) = {np.conj(s):.6g}")
+        return HamburgerResult(
+            positive=False, strictly_positive=False, min_eigenvalue=float("nan"),
+            reason=f"involution symmetry fails at {w}: "
+                   f"s_I(w) = {vals[rev]:.6g}, conj(s_w) = {np.conj(vals[w]):.6g}")
     if EMPTY not in vals:
         raise DataIncompleteError("e", "empty-word moment missing")
     max_deg = max(len(w) for w in vals)
@@ -154,7 +153,7 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     strict = lam > thr
     witness = None
     if strict:
-        basis = orthogonalize(f, level)
-        witness = extract(f, basis, level)
+        basis = orthogonalize(f, level, G=G)
+        witness = extract(f, basis, level, G=G)
     return HamburgerResult(positive=True, strictly_positive=strict,
                            min_eigenvalue=lam, witness=witness)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, PositivityError, ValidationError
-from .functional import (GramMatrix, MomentFunctional, gram, kernel_entry,
-                         require_strict_positivity)
-from .words import EMPTY, Word, words_up_to
+from .functional import (GramMatrix, MomentFunctional, _gram_at, gram,
+                         kernel_entry, require_strict_positivity)
+from .words import EMPTY, Word, level_offsets, shift_map, words_up_to
 
 DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
 
@@ -51,9 +51,9 @@ class OrthoBasis:
         ws = words_up_to(lvl, self.n_generators)
         idx = {w: i for i, w in enumerate(ws)}
         A = np.zeros((len(ws), len(ws)), dtype=complex)
-        for w in ws:
-            for t, c in self.coeffs[w].items():
-                A[idx[w], idx[t]] = c
+        for i, w in enumerate(ws):
+            row = self.coeffs[w]
+            A[i, [idx[t] for t in row]] = list(row.values())
         return A
 
     def leading(self, w: Word) -> float:
@@ -61,20 +61,19 @@ class OrthoBasis:
 
 
 def _coeffs_from_matrix(A: np.ndarray, ws: list[Word]) -> dict[Word, dict[Word, complex]]:
-    out: dict[Word, dict[Word, complex]] = {}
-    for i, w in enumerate(ws):
-        out[w] = {ws[j]: complex(A[i, j]) for j in range(i + 1)}
-    return out
+    return {w: dict(zip(ws[:i + 1], A[i, :i + 1].tolist())) for i, w in enumerate(ws)}
 
 
-def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9) -> OrthoBasis:
+def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
+                  G: GramMatrix | None = None) -> OrthoBasis:
     """Orthonormal basis to a level via Cholesky of the Gram matrix.
 
     Raises PositivityError (with certificate) unless the Gram matrix is
-    strictly positive at the level.
+    strictly positive at the level. ``G`` is the Gram matrix at the level
+    when the caller has built it already.
     """
-    require_strict_positivity(f, level, tol)
-    G = gram(f, level)
+    G = _gram_at(f, level, G)
+    require_strict_positivity(f, level, tol, G)
     try:
         L = np.linalg.cholesky(np.conj(G.entries))
     except np.linalg.LinAlgError as exc:
@@ -160,8 +159,8 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     """
     if f.kind != "toeplitz":
         raise ValidationError("the scalar ladder applies to toeplitz functionals")
-    basis = orthogonalize(f, level)
     G = gram(f, level)
+    basis = orthogonalize(f, level, G=G)
     n = len(G.words)
     A = basis.matrix()
 
@@ -175,36 +174,32 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     else:
         lead1 = np.array([1.0])
 
-    idx = {w: i for i, w in enumerate(G.words)}
-    kmap = {}
-    for k in range(1, f.n_generators + 1):
-        arr = np.full(n, -1, dtype=int)
-        for j, u in enumerate(G.words):
-            if len(u) <= level - 1:
-                arr[j] = idx[Word((k,) + u.letters)]
-        kmap[k] = arr
-
+    N = f.n_generators
+    offs = level_offsets(N, level)
+    kmap = shift_map(N, level)
     gammas: dict[Word, complex] = {}
     ds: dict[Word, float] = {}
     phi = np.zeros((n, n), dtype=complex)
     sharp = np.zeros((n, n), dtype=complex)
     phi[0, 0] = 1.0
     sharp[0, 0] = 1.0
-    for i in range(1, n):
-        w = G.words[i]
-        gamma = complex(-np.sqrt(lead[i + 1] / lead1[i]) * A[i, 0])
-        if abs(gamma) >= 1.0:
-            raise PositivityError(
-                f"ladder scalar at {w} has modulus {abs(gamma):.6f} >= 1")
-        d = float(np.sqrt(1.0 - abs(gamma) ** 2))
-        gammas[w], ds[w] = gamma, d
-        k, tail = w.letters[0], Word(w.letters[1:])
-        src = phi[idx[tail]]
-        shifted = np.zeros(n, dtype=complex)
-        mask = kmap[k] >= 0
-        shifted[kmap[k][mask]] = src[mask]
-        phi[i] = (shifted - gamma * sharp[i - 1]) / d
-        sharp[i] = (-np.conj(gamma) * shifted + sharp[i - 1]) / d
+    for m in range(1, level + 1):
+        tail_size = N ** (m - 1)
+        for r in range(N**m):
+            i = offs[m] + r
+            w = G.words[i]
+            gamma = complex(-np.sqrt(lead[i + 1] / lead1[i]) * A[i, 0])
+            if abs(gamma) >= 1.0:
+                raise PositivityError(
+                    f"ladder scalar at {w} has modulus {abs(gamma):.6f} >= 1")
+            d = float(np.sqrt(1.0 - abs(gamma) ** 2))
+            gammas[w], ds[w] = gamma, d
+            # w = k.tail: shift phi_tail by the first letter k
+            k, tail = divmod(r, tail_size)
+            shifted = np.zeros(n, dtype=complex)
+            shifted[kmap[k]] = phi[offs[m - 1] + tail, :offs[level]]
+            phi[i] = (shifted - gamma * sharp[i - 1]) / d
+            sharp[i] = (-np.conj(gamma) * shifted + sharp[i - 1]) / d
 
     dev = float(np.max(np.abs(phi - A)))
     if dev > tol * max(1.0, float(np.max(np.abs(A)))):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .functional import MomentFunctional, gram
+from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments
 from .orthopoly import OrthoBasis, _coeffs_from_matrix
-from .words import EMPTY, Word, enumerate_level, involution, words_up_to
+from .words import level_offsets, shift_map, word_at, words_up_to
 
 HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -89,51 +89,32 @@ class RecurrenceCoeffs:
                 raise ValidationError(f"B_{n} condition number exceeds {cond_bound:.1e}")
 
 
-def _shift_maps(n_generators: int, level: int) -> dict[int, np.ndarray]:
-    """Index map sending word u (|u| < level) to k.u within graded-lex order."""
-    ws = words_up_to(level, n_generators)
-    idx = {w: i for i, w in enumerate(ws)}
-    maps = {}
-    for k in range(1, n_generators + 1):
-        arr = np.full(len(ws), -1, dtype=int)
-        for j, u in enumerate(ws):
-            if len(u) < level:
-                arr[j] = idx[Word((k,) + u.letters)]
-        maps[k] = arr
-    return maps
-
-
 def _shift_rows(rows: np.ndarray, kmap: np.ndarray) -> np.ndarray:
+    """Coefficient rows of Y_k P from those of P; kmap is a row of shift_map."""
     out = np.zeros_like(rows)
-    mask = kmap >= 0
-    out[:, kmap[mask]] = rows[:, mask]
+    out[:, kmap] = rows[:, :len(kmap)]
     return out
 
 
-def _level_offsets(n_generators: int, level: int) -> list[int]:
-    offs = [0]
-    for n in range(level + 1):
-        offs.append(offs[-1] + n_generators**n)
-    return offs
-
-
-def extract(f: MomentFunctional, basis: OrthoBasis, levels: int) -> RecurrenceCoeffs:
+def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,
+            G: GramMatrix | None = None) -> RecurrenceCoeffs:
     """Recurrence blocks from a basis by inner products against the kernel.
 
     Needs the basis to level ``levels`` and kernel data through word length
     2*levels (for hankel functionals). Asserts Hermiticity of A, the
     triangular structure and diagonal identity of B, and the coefficient-wise
-    residual of the recurrence on every run.
+    residual of the recurrence on every run. ``G`` is the Gram matrix at
+    ``levels`` when the caller has built it already.
     """
     if levels < 1:
         raise ValidationError("levels must be >= 1")
     if basis.level < levels:
         raise ValidationError(f"basis valid to level {basis.level}, need {levels}")
     N = f.n_generators
-    G = gram(f, levels).entries
+    G = _gram_at(f, levels, G).entries
     A_coef = basis.matrix(levels)
-    offs = _level_offsets(N, levels)
-    kmaps = _shift_maps(N, levels)
+    offs = level_offsets(N, levels)
+    kmaps = shift_map(N, levels)
 
     A_blocks: dict[tuple[int, int], np.ndarray] = {}
     B_blocks: dict[tuple[int, int], np.ndarray] = {}
@@ -142,11 +123,12 @@ def extract(f: MomentFunctional, basis: OrthoBasis, levels: int) -> RecurrenceCo
         rows_n = np.conj(A_coef[offs[n]:offs[n + 1]])
         rows_n1 = np.conj(A_coef[offs[n + 1]:offs[n + 2]])
         for k in range(1, N + 1):
-            shifted = _shift_rows(src, kmaps[k])          # coeffs of Y_k phi_sigma
+            shifted = _shift_rows(src, kmaps[k - 1])      # coeffs of Y_k phi_sigma
             A_blocks[n, k] = rows_n @ G @ shifted.T
             B_blocks[n, k] = rows_n1 @ G @ shifted.T
     coeffs = RecurrenceCoeffs(n_generators=N, levels=levels, A=A_blocks, B=B_blocks)
 
+    lead = np.real(np.diag(A_coef))
     for n in range(levels):
         for k in range(1, N + 1):
             a = coeffs.A[n, k]
@@ -154,14 +136,15 @@ def extract(f: MomentFunctional, basis: OrthoBasis, levels: int) -> RecurrenceCo
             if dev > HERMITICITY_TOL:
                 raise ConsistencyError(
                     f"extracted A (n={n}, k={k}) deviates from Hermitian by {dev:.3e}")
-        Bn = coeffs.b_block(n)
-        lvl_next = enumerate_level(n + 1, N)
-        for j, w in enumerate(lvl_next):
-            tail = Word(w.letters[1:])
-            expected = basis.leading(tail) / basis.leading(w)
-            if abs(Bn[j, j] - expected) > DIAG_TOL * max(1.0, abs(expected)):
-                raise ConsistencyError(
-                    f"B_{n} diagonal at {w} deviates from leading-coefficient ratio")
+        # the word of rank j on level n + 1 is k.sigma with rank(sigma) = j mod N^n
+        ranks = np.arange(N ** (n + 1))
+        expected = lead[offs[n] + ranks % N**n] / lead[offs[n + 1] + ranks]
+        gap = np.abs(np.diag(coeffs.b_block(n)) - expected)
+        off = gap > DIAG_TOL * np.maximum(1.0, np.abs(expected))
+        if off.any():
+            w = word_at(n + 1, int(np.argmax(off)), N)
+            raise ConsistencyError(
+                f"B_{n} diagonal at {w} deviates from leading-coefficient ratio")
     resid = residual_check(basis, coeffs)
     if resid > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(A_coef)))):
         raise ConsistencyError(f"recurrence residual {resid:.3e} too large")
@@ -175,15 +158,15 @@ def residual_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs) -> float:
     if basis.level < levels:
         raise ValidationError(f"basis valid to level {basis.level}, need {levels}")
     A_coef = basis.matrix(levels)
-    offs = _level_offsets(N, levels)
-    kmaps = _shift_maps(N, levels)
+    offs = level_offsets(N, levels)
+    kmaps = shift_map(N, levels)
     worst = 0.0
     for n in range(levels):
         C_n = A_coef[offs[n]:offs[n + 1]]
         C_n1 = A_coef[offs[n + 1]:offs[n + 2]]
         C_nm1 = A_coef[offs[n - 1]:offs[n]] if n >= 1 else None
         for k in range(1, N + 1):
-            R = _shift_rows(C_n, kmaps[k])
+            R = _shift_rows(C_n, kmaps[k - 1])
             R = R - coeffs.B[n, k].T @ C_n1
             R = R - coeffs.A[n, k].T @ C_n
             if n >= 1:
@@ -213,8 +196,8 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
     N = coeffs.n_generators
     ws = words_up_to(L, N)
     W = len(ws)
-    offs = _level_offsets(N, L)
-    kmaps = _shift_maps(N, L)
+    offs = level_offsets(N, L)
+    kmaps = shift_map(N, L)
 
     A_full = np.zeros((W, W), dtype=complex)
     A_full[0, 0] = 1.0
@@ -225,7 +208,7 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
         nxt = np.zeros((N ** (l + 1), W), dtype=complex)
         for j in range(1, N + 1):
             D_lj = Binv[(j - 1) * N**l: j * N**l, :]
-            nxt += D_lj.T @ _shift_rows(C_l, kmaps[j])
+            nxt += D_lj.T @ _shift_rows(C_l, kmaps[j - 1])
         nxt -= E.T @ C_l
         if l >= 1:
             C_lm1 = A_full[offs[l - 1]:offs[l], :]
@@ -236,24 +219,10 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
 
     basis = OrthoBasis(n_generators=N, level=L,
                        coeffs=_coeffs_from_matrix(A_full, ws))
-    Binv_full = np.linalg.inv(A_full)  # monomials in the orthonormal family
-    idx = {w: i for i, w in enumerate(ws)}
-
-    moments: dict[Word, complex] = {}
-    for m in range(2 * L + 1):
-        for w in enumerate_level(m, N):
-            lv = min(L, m)
-            u, v = Word(w.letters[:m - lv]), Word(w.letters[m - lv:])
-            bu = Binv_full[idx[involution(u)], :]
-            bv = Binv_full[idx[v], :]
-            moments[w] = complex(np.dot(bv, np.conj(bu)))
-    for w in list(moments):
-        rev = involution(w)
-        if rev >= w:
-            avg = (moments[w] + np.conj(moments[rev])) / 2.0
-            moments[w] = avg
-            moments[rev] = complex(np.conj(avg))
-    moments[EMPTY] = 1.0 + 0.0j
+    # row w of inv(A_full) holds the monomial F_w in the orthonormal family, so
+    # s_{p.q} = <F_q, F_{I(p)}> is the inner product of two rows
+    Binv_full = np.linalg.inv(A_full)
+    rows = [Binv_full[offs[n]:offs[n + 1]] for n in range(L + 1)]
     f = MomentFunctional(n_generators=N, kind="hankel", max_degree=2 * L,
-                         moments=moments)
+                         moments=_hankel_moments(rows, N, 2 * L))
     return basis, f

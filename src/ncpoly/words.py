@@ -4,6 +4,14 @@ A word is a finite tuple of letters from {1, ..., N}; the empty word is the
 unit. Words are ordered graded-lexicographically: first by length, then
 letter-by-letter. The involution reverses a word.
 
+Inside the library a word is its integer rank. The length-n words are ranked
+rank(w) = sum (w_i - 1) N^(n - i), and the words of length <= L sit in one
+graded-lex vector at level_offsets(N, L)[n] + rank(w). Concatenation and
+reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
+``reversal`` and ``shift_map`` tabulate I(w) and k.u. ``Word`` objects are
+built only at the edge, where dicts keyed by words come in or go out;
+``rank_groups`` reads the ranks of a dict's words from their letters.
+
 Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 """
 
@@ -11,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -20,8 +30,8 @@ class Word:
     letters: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        letters = tuple(int(l) for l in self.letters)
-        if any(l < 1 for l in letters):
+        letters = tuple(map(int, self.letters))
+        if letters and min(letters) < 1:
             raise ValidationError(f"letters must be >= 1, got {letters}")
         object.__setattr__(self, "letters", letters)
 
@@ -125,6 +135,43 @@ def words_up_to(level: int, n_generators: int) -> list[Word]:
     return out
 
 
+def level_offsets(n_generators: int, level: int) -> list[int]:
+    """Start of each length n <= level + 1 in the graded-lex word vector."""
+    offs = [0]
+    for n in range(level + 1):
+        offs.append(offs[-1] + n_generators**n)
+    return offs
+
+
+def reversal(n: int, n_generators: int) -> np.ndarray:
+    """perm[rank(w)] = rank(I(w)) on the words of length n.
+
+    Built by rank arithmetic: I(k.u) = I(u).k, so the rank of the reversal of
+    the word of rank (k - 1) N^(n-1) + r is perm_{n-1}[r] N + (k - 1).
+    """
+    perm = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        perm = (perm[None, :] * n_generators
+                + np.arange(n_generators)[:, None]).reshape(-1)
+    return perm
+
+
+def shift_map(n_generators: int, level: int) -> np.ndarray:
+    """Graded-lex index of k.u for every word u with |u| < level.
+
+    Row k - 1 maps the index of u (a prefix 0..offs[level] of the word vector)
+    to offs[n + 1] + (k - 1) N^n + rank(u), where n = |u|.
+    """
+    N = n_generators
+    offs = level_offsets(N, level)
+    out = np.empty((N, offs[level]), dtype=np.int64)
+    for n in range(level):
+        ranks = np.arange(N**n)
+        for k in range(N):
+            out[k, offs[n]:offs[n + 1]] = offs[n + 1] + k * N**n + ranks
+    return out
+
+
 def word_index(w: Word, n_generators: int) -> int:
     """Rank of w within its own level, 0-based."""
     idx = 0
@@ -150,3 +197,29 @@ def global_index(w: Word, n_generators: int) -> int:
     """Position of w in the graded-lex enumeration of all words."""
     offset = sum(n_generators**m for m in range(len(w.letters)))
     return offset + word_index(w, n_generators)
+
+
+def rank_groups(words, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
+    """Ranks of a sequence of words, grouped by length, read off their letters.
+
+    Returns {n: (positions, ranks, reversal ranks)} for the words whose
+    letters are all <= n_generators (positions index the sequence), and the
+    positions of the other words. Ranks are int64 arrays, or object arrays
+    of Python ints once N^(n-1) reaches 2^62.
+    """
+    N = n_generators
+    letters = [w.letters for w in words]
+    lens = np.fromiter(map(len, letters), dtype=np.int64, count=len(letters))
+    digits = np.fromiter(itertools.chain.from_iterable(letters), dtype=np.int64,
+                         count=int(lens.sum())) - 1
+    starts = np.cumsum(lens) - lens
+    groups, foreign = {}, []
+    for n in np.flatnonzero(np.bincount(lens)).tolist():
+        pos = np.flatnonzero(lens == n)
+        D = digits[starts[pos][:, None] + np.arange(n)]
+        ok = np.all(D < N, axis=1)
+        foreign.extend(pos[~ok].tolist())
+        big = N ** max(n - 1, 0) >= 2**62
+        powers = N ** np.arange(n, dtype=object if big else np.int64)
+        groups[n] = (pos[ok], D[ok] @ powers[::-1], D[ok] @ powers)
+    return groups, sorted(foreign)
