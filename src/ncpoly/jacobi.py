@@ -7,6 +7,11 @@ against the vacuum e_0 agree with the functional's moments for every word of
 length <= 2L + 1, since a product of L+1 or fewer band matrices cannot move
 e_0 past level L and back in a way that feels the cut.
 
+A family is built once and read many times, so it keeps its vacuum orbit:
+the columns J_q e_0 for |q| <= L + 1 and the rows e_0^T J_p for |p| <= L,
+by graded-lex rank. A word sigma = p.b.q then has <J_sigma e_0, e_0> =
+(e_0^T J_p) (J_b (J_q e_0)), with b empty whenever |sigma| <= 2L + 1.
+
 ``hamburger_check`` answers the positivity question for a finite moment set:
 a PSD kernel is necessary and sufficient, and strict positivity comes with a
 constructive witness (the recurrence blocks themselves).
@@ -14,7 +19,10 @@ constructive witness (the recurrence blocks themselves).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,21 +35,59 @@ from .words import EMPTY, Word, level_offsets
 SYMMETRY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockJacobi:
-    """One generator's matrix on the level <= L truncation, row/col graded-lex."""
+    """One generator's matrix on the level <= L truncation, row/col graded-lex.
+
+    The matrix is a read-only copy, so a family's cached orbit cannot go stale.
+    """
 
     generator: int
     level: int
     n_generators: int
     matrix: np.ndarray
 
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
-def build(coeffs: RecurrenceCoeffs, level: int) -> list[BlockJacobi]:
+class JacobiFamily(tuple):
+    """J_1..J_N of one truncation: an immutable sequence of ``BlockJacobi``.
+
+    ``orbit`` is computed on first use and kept: the rows e_0^T J_p for
+    |p| <= level and the columns J_q e_0 for |q| <= level + 1, one array per
+    length, indexed by graded-lex rank. Together they hold about (N + 1) / N
+    times the entries of the matrices.
+    """
+
+    def __new__(cls, operators):
+        family = super().__new__(cls, operators)
+        if not family:
+            raise ValidationError("empty operator family")
+        return family
+
+    @cached_property
+    def orbit(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(rows, cols) with rows[n][rank(p)] = e_0^T J_p and cols[n][rank(q)] = J_q e_0."""
+        level, S = self[0].level, self[0].size
+        e0 = np.zeros((1, S), dtype=complex)
+        e0[0, 0] = 1.0
+        # R_{p.k} = R_p J_k sits at rank(p) N + k - 1; C_{k.q} = J_k C_q at (k - 1) N^n + rank(q)
+        rows, cols = [e0], [e0]
+        for _ in range(level):
+            rows.append(np.stack([rows[-1] @ J.matrix for J in self], axis=1).reshape(-1, S))
+        for _ in range(level + 1):
+            cols.append(np.concatenate([cols[-1] @ J.matrix.T for J in self]))
+        return rows, cols
+
+
+def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
     """Assemble J_1..J_N at truncation ``level`` from recurrence blocks.
 
     Needs blocks through A_{level,k}, i.e. coeffs.levels >= level + 1.
@@ -68,13 +114,13 @@ def build(coeffs: RecurrenceCoeffs, level: int) -> list[BlockJacobi]:
             J[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = b
             J[offs[n]:offs[n + 1], offs[n + 1]:offs[n + 2]] = b.conj().T
         out.append(BlockJacobi(generator=k, level=level, n_generators=N, matrix=J))
-    return out
+    return JacobiFamily(out)
 
 
-def word_apply(family: list[BlockJacobi], sigma: Word, v: np.ndarray) -> np.ndarray:
-    """J_sigma v = J_{i_1} (J_{i_2} (... J_{i_m} v))."""
+def word_apply(family: Sequence[BlockJacobi], sigma, v: np.ndarray) -> np.ndarray:
+    """J_sigma v = J_{i_1} (J_{i_2} (... J_{i_m} v)); sigma is a Word or its letters."""
     out = np.asarray(v, dtype=complex)
-    for letter in reversed(sigma.letters):
+    for letter in reversed(tuple(sigma)):
         out = family[letter - 1].matrix @ out
     return out
 
@@ -85,19 +131,36 @@ class MomentValue:
     truncated: bool
 
 
-def moment(family: list[BlockJacobi], sigma: Word) -> MomentValue:
+def moment(family: Sequence[BlockJacobi], sigma: Word) -> MomentValue:
     """<J_sigma e_0, e_0> with a flag once |sigma| exceeds the truncation level.
 
     The flag is conservative: the value is still exact up to |sigma| =
     2*level + 1 by the band argument, but past the truncation level the
-    caller should not extend trust without checking.
+    caller should not extend trust without checking. The value is read from
+    the family's cached orbit (a plain list is wrapped for the call): sigma
+    splits as p.b.q with |q| = min(|sigma|, level + 1) and |p| =
+    min(|sigma| - |q|, level). The middle b is empty up to length
+    2*level + 1; past it, each of its letters costs one matvec.
     """
-    if not family:
-        raise ValidationError("empty operator family")
-    e0 = np.zeros(family[0].size, dtype=complex)
-    e0[0] = 1.0
-    val = complex(np.vdot(e0, word_apply(family, sigma, e0)))
-    return MomentValue(value=val, truncated=len(sigma) > family[0].level)
+    if not isinstance(family, JacobiFamily):
+        family = JacobiFamily(family)
+    N, level = len(family), family[0].level
+    letters = sigma.letters
+    n = len(letters)
+    if n and max(letters) > N:
+        raise ValidationError(f"word {sigma} uses letters beyond {N} generators")
+    c = min(n, level + 1)
+    a = min(n - c, level)
+    rp = rq = 0
+    for l in letters[:a]:
+        rp = rp * N + l - 1
+    for l in letters[n - c:]:
+        rq = rq * N + l - 1
+    rows, cols = family.orbit
+    col = cols[c][rq]
+    if a + c < n:
+        col = word_apply(family, letters[a:n - c], col)
+    return MomentValue(value=complex(rows[a][rp].dot(col)), truncated=n > level)
 
 
 @dataclass
@@ -123,21 +186,26 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     """
     vals = {Word.parse(w) if isinstance(w, str) else w: complex(s)
             for w, s in moments.items()}
-    defect = _involution_defect(vals, n_generators, SYMMETRY_TOL)
-    if defect is not None:
+    top = max(map(len, map(attrgetter("letters"), vals)), default=0)
+    try:
+        f = MomentFunctional(n_generators=n_generators, kind="hankel",
+                             max_degree=top, moments=vals)
+    except ValidationError:
+        # tell the refusals apart: a missing partner or s_e is an input gap and
+        # an asymmetric pair is a "no"; a foreign letter or s_e != 1 passes on
+        defect = _involution_defect(vals, n_generators, SYMMETRY_TOL)
+        if defect is None:
+            if EMPTY not in vals:
+                raise DataIncompleteError("e", "empty-word moment missing") from None
+            raise
         what, w, rev = defect
         if what == "missing":
             raise DataIncompleteError(str(rev), f"moment for {rev} missing "
-                                      f"(involution partner of {w})")
+                                      f"(involution partner of {w})") from None
         return HamburgerResult(
             positive=False, strictly_positive=False, min_eigenvalue=float("nan"),
             reason=f"involution symmetry fails at {w}: "
                    f"s_I(w) = {vals[rev]:.6g}, conj(s_w) = {np.conj(vals[w]):.6g}")
-    if EMPTY not in vals:
-        raise DataIncompleteError("e", "empty-word moment missing")
-    max_deg = max(len(w) for w in vals)
-    f = MomentFunctional(n_generators=n_generators, kind="hankel",
-                         max_degree=max_deg, moments=vals)
     G = gram(f, level)
     eig = np.linalg.eigvalsh(G.entries)
     lam = float(eig[0])

@@ -145,7 +145,7 @@ def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,
             w = word_at(n + 1, int(np.argmax(off)), N)
             raise ConsistencyError(
                 f"B_{n} diagonal at {w} deviates from leading-coefficient ratio")
-    resid = residual_check(basis, coeffs)
+    resid = _residual(A_coef, coeffs)
     if resid > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(A_coef)))):
         raise ConsistencyError(f"recurrence residual {resid:.3e} too large")
     return coeffs
@@ -153,11 +153,15 @@ def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,
 
 def residual_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs) -> float:
     """Largest coefficient-wise residual of the recurrence identity."""
+    if basis.level < coeffs.levels:
+        raise ValidationError(f"basis valid to level {basis.level}, need {coeffs.levels}")
+    return _residual(basis.matrix(coeffs.levels), coeffs)
+
+
+def _residual(A_coef: np.ndarray, coeffs: RecurrenceCoeffs) -> float:
+    """``residual_check`` on the dense coefficient matrix to coeffs.levels."""
     N = coeffs.n_generators
     levels = coeffs.levels
-    if basis.level < levels:
-        raise ValidationError(f"basis valid to level {basis.level}, need {levels}")
-    A_coef = basis.matrix(levels)
     offs = level_offsets(N, levels)
     kmaps = shift_map(N, levels)
     worst = 0.0

@@ -1,10 +1,18 @@
+import functools
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fock_moment, gaussian_moments
 
+from ncpoly import functional as functional_mod
+from ncpoly import jacobi as jacobi_mod
 from ncpoly.errors import DataIncompleteError, ValidationError
-from ncpoly.functional import MomentFunctional, from_representation, strict_positivity
+from ncpoly.functional import (MomentFunctional, _involution_defect, from_representation,
+                               strict_positivity)
 from ncpoly.jacobi import build, hamburger_check, moment, word_apply
 from ncpoly.orthopoly import orthogonalize
 from ncpoly.recurrence import extract
@@ -148,3 +156,91 @@ def test_hamburger_agrees_with_strict_positivity():
         res = hamburger_check(f.moments, 1, 2, tol=1e-12)
         pos = strict_positivity(f, 2, tol=1e-12)
         assert res.positive == (pos.min_eigenvalue > -1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def random_family(n_gen, level):
+    """The truncation-``level`` family of a random representation, blocks to level + 1."""
+    dim = len(words_up_to(level + 1, n_gen)) + 4
+    mats, v = random_representation(np.random.default_rng([n_gen, level]), n_gen, dim)
+    f = from_representation(mats, v, max_degree=2 * (level + 1))
+    return build(extract(f, orthogonalize(f, level + 1), level + 1), level)
+
+
+@st.composite
+def family_and_word(draw):
+    n_gen = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 3))
+    letters = draw(st.lists(st.integers(1, n_gen), max_size=2 * level + 4))
+    return random_family(n_gen, level), Word(tuple(letters))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=family_and_word())
+def test_moment_is_the_vacuum_matrix_element(case):
+    fam, w = case
+    e0 = np.zeros(fam[0].size, dtype=complex)
+    e0[0] = 1.0
+    ref = complex(np.vdot(e0, word_apply(fam, w, e0)))
+    for family in (fam, list(fam)):
+        mv = moment(family, w)
+        assert abs(mv.value - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert mv.truncated == (len(w) > fam[0].level)
+
+
+def test_moment_builds_no_word(monkeypatch):
+    fam = random_family(2, 2)
+    ws = words_up_to(5, 2) + [Word((1, 2) * 4)]
+    built = []
+    init = Word.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    for w in ws:
+        moment(fam, w)
+    moment(list(fam), ws[-1])
+    assert built == []
+
+
+def test_family_matrices_are_read_only():
+    fam = random_family(2, 1)
+    with pytest.raises(ValueError):
+        fam[0].matrix[0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        fam[0].matrix = np.eye(fam[0].size)
+
+
+def test_moment_refuses_a_foreign_letter():
+    fam = random_family(2, 1)
+    for w in (Word.of(3), Word.of(1, 2, 3, 1, 2, 1, 2)):
+        with pytest.raises(ValidationError, match=f"word {w} uses letters beyond 2"):
+            moment(fam, w)
+
+
+def test_clean_hamburger_checks_the_involution_once(monkeypatch):
+    mats, v = random_representation(np.random.default_rng(45), 2, 12)
+    f = from_representation(mats, v, max_degree=4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _involution_defect(*args)
+
+    monkeypatch.setattr(functional_mod, "_involution_defect", counted)
+    monkeypatch.setattr(jacobi_mod, "_involution_defect", counted)
+    assert hamburger_check(f.moments, 2, 2).strictly_positive
+    assert len(calls) == 1
+
+
+def test_hamburger_refusals_keep_their_order():
+    asym = {Word((1, 2)): 0.5 + 0.0j, Word((2, 1)): 0.3 + 0.0j}
+    # the involution check comes before the unit moment
+    res = hamburger_check(asym, 2, 1)
+    assert not res.positive and "symmetry" in res.reason
+    with pytest.raises(DataIncompleteError, match="empty-word"):
+        hamburger_check({Word((1,)): 0.0j}, 1, 1)
+    with pytest.raises(ValidationError, match="unital"):
+        hamburger_check({EMPTY: 2.0, Word((1,)): 0.0j}, 1, 1)
