@@ -8,9 +8,13 @@ Cayley map in the last coordinate,
 
 characterized by Im W_N - sum_{k<N} W_k W_k* > 0. Kernel sums of the form
 sum_sigma Z_sigma T Z'_sigma* are evaluated by iterating the completely
-positive map T -> sum_k Z_k T Z'_k* and truncating once the geometric tail
-bound ||T|| r^{L+1} / (1 - r) clears the requested tolerance, where r bounds
-the joint row norms. Everything downstream (Szego kernels in both pictures,
+positive map Phi: T -> sum_k Z_k T Z'_k* and adding its powers until one of
+two tail bounds clears the requested tolerance; r, the product of the joint
+row norms, bounds ||Phi||. The a-priori bound ||T|| r^{L+1} / (1 - r) is
+reported as it stands. The a-posteriori bound r ||Phi^L(T)||_F / (1 - r),
+read off the last term added, stops the sum once it is below both the
+tolerance and the rounding level eps ||S_L||_F of the sum, and the tolerance
+is reported. Everything downstream (Szego kernels in both pictures,
 reproduction identities, Christoffel-Darboux) reduces to such sandwiches.
 """
 
@@ -125,10 +129,18 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
                   tol: float = 1e-9, cap: int = SANDWICH_CAP) -> KernelResult:
     """sum over all words sigma of Z_sigma T Z'_sigma*, truncated rigorously.
 
-    The truncation length is the smallest L with ||T|| r^{L+1} / (1 - r) <=
-    tol, where r is the product of the block-row operator norms of the two
-    tuples. Raises once the open ball condition r < 1 fails or the length
-    would exceed ``cap``.
+    With r the product of the block-row operator norms of the two tuples,
+    ||Phi(X)|| <= r ||X|| for Phi(X) = sum_k Z_k X Z'_k*, so after the terms
+    Phi^0(T), ..., Phi^L(T) the rest of the series has spectral norm at most
+
+    * prior_L = ||T|| r^{L+1} / (1 - r), and at most
+    * post_L = r ||Phi^L(T)||_F / (1 - r).
+
+    The sum stops at the first L where prior_L <= tol, reporting prior_L as
+    ``tail_bound``, or where post_L <= min(tol, eps ||S_L||_F), reporting
+    tol: the truncation then lies below the tolerance and below the rounding
+    of the partial sum S_L itself. Raises once the open ball condition
+    r < 1 fails or neither rule holds within ``cap`` levels.
     """
     mats = np.asarray(mats, dtype=complex)
     mats2 = np.asarray(mats2, dtype=complex)
@@ -140,20 +152,25 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     if normT == 0.0:
         return KernelResult(value=np.zeros_like(T), truncation_length=0,
                             tail_bound=0.0)
+    adj2 = [m.conj().T for m in mats2]
+    eps = np.finfo(float).eps
+    total = T.copy()
+    term = T
     L = 0
-    while r > 0.0 and normT * r ** (L + 1) / (1.0 - r) > tol:
-        L += 1
-        if L > cap:
+    while True:
+        prior = 0.0 if r == 0.0 else normT * r ** (L + 1) / (1.0 - r)
+        if prior <= tol:
+            return KernelResult(value=total, truncation_length=L, tail_bound=prior)
+        post = r * np.sqrt(np.vdot(term, term).real) / (1.0 - r)
+        if post <= min(tol, eps * np.sqrt(np.vdot(total, total).real)):
+            return KernelResult(value=total, truncation_length=L, tail_bound=tol)
+        if L >= cap:
             raise ConvergenceError(
                 f"tail bound needs more than {cap} levels at r = {r:.4g}, "
                 f"tol = {tol:.2g}")
-    tail = 0.0 if r == 0.0 else normT * r ** (L + 1) / (1.0 - r)
-    total = T.copy()
-    term = T
-    for _ in range(L):
-        term = sum(mats[k] @ term @ mats2[k].conj().T for k in range(mats.shape[0]))
+        term = sum(mats[k] @ term @ adj2[k] for k in range(mats.shape[0]))
         total = total + term
-    return KernelResult(value=total, truncation_length=L, tail_bound=tail)
+        L += 1
 
 
 def _check_compatible(t: OperatorTuple, t2: OperatorTuple) -> None:
@@ -311,16 +328,22 @@ def evaluate_all(basis: OrthoBasis, level: int, t: OperatorTuple) -> dict[Word, 
     return out
 
 
+def _kernel_terms(basis: OrthoBasis, n: int, level: int, t: OperatorTuple,
+                  t2: OperatorTuple) -> tuple[np.ndarray, dict, dict]:
+    """K_n(W, W') and the phi_sigma at both points for |sigma| <= level."""
+    phis = evaluate_all(basis, level, t)
+    phis2 = evaluate_all(basis, level, t2)
+    K = np.zeros((t.dim, t.dim), dtype=complex)
+    for w in words_up_to(n, basis.n_generators):
+        K += phis[w] @ phis2[w].conj().T
+    return K, phis, phis2
+
+
 def cd_kernel(basis: OrthoBasis, n: int, t: OperatorTuple,
               t2: OperatorTuple) -> np.ndarray:
     """K_n(W, W') = sum_{|sigma| <= n} phi_sigma(W) phi_sigma(W')*."""
     _check_compatible(t, t2)
-    phis = evaluate_all(basis, n, t)
-    phis2 = evaluate_all(basis, n, t2)
-    K = np.zeros((t.dim, t.dim), dtype=complex)
-    for w in phis:
-        K += phis[w] @ phis2[w].conj().T
-    return K
+    return _kernel_terms(basis, n, n, t, t2)[0]
 
 
 def _cd_bracket(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
@@ -353,11 +376,7 @@ def cd_inner_identity(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     _check_compatible(t, t2)
     if coeffs.levels < n + 1:
         raise ValidationError(f"need recurrence blocks to level {n + 1}")
-    phis = evaluate_all(basis, n + 1, t)
-    phis2 = evaluate_all(basis, n + 1, t2)
-    K = np.zeros((t.dim, t.dim), dtype=complex)
-    for w in words_up_to(n, basis.n_generators):
-        K += phis[w] @ phis2[w].conj().T
+    K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
     lhs = t.mats[-1] @ K - K @ t2.mats[-1].conj().T
     rhs = _cd_bracket(basis, coeffs, n, phis, phis2, t.dim)
     return float(np.max(np.abs(lhs - rhs)))
@@ -376,32 +395,23 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
                   cap: int = SANDWICH_CAP) -> CDFullResult:
     """Recover K_n from the half-space kernel transform of its bracket data.
 
-    K_n(W, W') = F(W, W')[bracket/(2i)] - sum_{k<N} F(W, W')[W_k K_n W'_k*],
-    the finite-level Christoffel-Darboux identity. Residual is max-abs.
+    K_n(W, W') = F(W, W')[bracket/(2i) - sum_{k<N} W_k K_n W'_k*], the
+    finite-level Christoffel-Darboux identity, summed as one kernel sum since
+    F is linear in its argument. Residual is max-abs.
     """
     _check_compatible(t, t2)
     require_membership(t, "siegel")
     require_membership(t2, "siegel")
     if coeffs.levels < n + 1:
         raise ValidationError(f"need recurrence blocks to level {n + 1}")
-    phis = evaluate_all(basis, n + 1, t)
-    phis2 = evaluate_all(basis, n + 1, t2)
-    K = np.zeros((t.dim, t.dim), dtype=complex)
-    for w in words_up_to(n, basis.n_generators):
-        K += phis[w] @ phis2[w].conj().T
-    bracket = _cd_bracket(basis, coeffs, n, phis, phis2, t.dim)
-    first = f_sandwich(t, t2, bracket / 2j, tol, cap)
-    recon = first.value
-    tail = first.tail_bound
-    trunc = first.truncation_length
+    K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
+    S = _cd_bracket(basis, coeffs, n, phis, phis2, t.dim) / 2j
     for k in range(t.n_generators - 1):
-        piece = f_sandwich(t, t2, t.mats[k] @ K @ t2.mats[k].conj().T, tol, cap)
-        recon = recon - piece.value
-        tail += piece.tail_bound
-        trunc = max(trunc, piece.truncation_length)
-    residual = float(np.max(np.abs(K - recon)))
-    return CDFullResult(residual=residual, tail_bound=tail,
-                        truncation_length=trunc, kernel=K)
+        S = S - t.mats[k] @ K @ t2.mats[k].conj().T
+    out = f_sandwich(t, t2, S, tol, cap)
+    residual = float(np.max(np.abs(K - out.value)))
+    return CDFullResult(residual=residual, tail_bound=out.tail_bound,
+                        truncation_length=out.truncation_length, kernel=K)
 
 
 def reproducing_residual(f: MomentFunctional, basis: OrthoBasis, n: int,

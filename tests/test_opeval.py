@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncpoly import opeval
 from ncpoly.errors import ConvergenceError, MembershipError, ValidationError
 from ncpoly.functional import from_representation
-from ncpoly.opeval import (OperatorTuple, ball_sandwich, cayley, cayley_inverse,
-                           cd_full_check, cd_inner_identity, cd_kernel,
+from ncpoly.opeval import (SANDWICH_CAP, OperatorTuple, _cd_bracket, ball_sandwich,
+                           cayley, cayley_inverse, cd_full_check, cd_inner_identity, cd_kernel,
                            evaluate_all, f_sandwich, membership,
                            random_ball_tuple, random_siegel_tuple,
                            reproducing_residual, reproduction_check,
@@ -115,6 +118,59 @@ def test_ball_sandwich_respects_cap():
     mats[0] = 0.999
     with pytest.raises(ConvergenceError):
         ball_sandwich(mats, mats, np.eye(1), tol=1e-12, cap=64)
+
+
+def prior_length(mats, mats2, T, tol):
+    """The smallest L with ||T|| r^{L+1} / (1 - r) <= tol, with no cap."""
+    r = np.linalg.norm(np.hstack(list(mats)), 2) * np.linalg.norm(np.hstack(list(mats2)), 2)
+    normT = np.linalg.norm(T, 2)
+    L = 0
+    while normT * r ** (L + 1) / (1.0 - r) > tol:
+        L += 1
+    return L
+
+
+def prior_sum(mats, mats2, T, levels):
+    total, term = T.copy(), T
+    for _ in range(levels):
+        term = sum(mats[k] @ term @ mats2[k].conj().T for k in range(len(mats)))
+        total = total + term
+    return total
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_gen=st.integers(1, 3), dim=st.integers(1, 8),
+       margin=st.floats(0.05, 0.9), same=st.booleans(), log_tol=st.floats(-12, -4))
+def test_ball_sandwich_value_within_tail_bound_of_converged_sum(seed, n_gen, dim, margin,
+                                                                same, log_tol):
+    rng = np.random.default_rng(seed)
+    Z = random_ball_tuple(rng, n_gen, dim, margin).mats
+    Z2 = Z if same else random_ball_tuple(rng, n_gen, dim, margin).mats
+    T = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    tol = 10.0 ** log_tol
+    ref = prior_sum(Z, Z2, T, prior_length(Z, Z2, T, 1e-16 * np.linalg.norm(T, 2)))
+    levels = prior_length(Z, Z2, T, tol)
+    # the a-priori length as cap: the sum may stop earlier, never later
+    res = ball_sandwich(Z, Z2, T, tol=tol, cap=levels)
+    assert res.truncation_length <= levels
+    assert res.tail_bound <= tol
+    gap = np.linalg.norm(res.value - ref, 2)
+    assert gap <= res.tail_bound + 1e-14 * np.linalg.norm(ref, 2)
+
+
+def test_szego_ball_fast_decay_returns_under_cap():
+    # r = 0.9 asks for about 240 levels a priori, past the cap of 64; the
+    # terms of a distinct pair at d = 32 decay far faster than r
+    rng = np.random.default_rng(63)
+    Z = random_ball_tuple(rng, 2, 32, margin=0.1)
+    Z2 = random_ball_tuple(rng, 2, 32, margin=0.1)
+    eye = np.eye(32)
+    assert prior_length(Z.mats, Z2.mats, eye, 1e-10) > SANDWICH_CAP
+    res = szego_ball(Z, Z2, tol=1e-10, cap=SANDWICH_CAP)
+    assert res.truncation_length <= SANDWICH_CAP
+    K = res.value
+    gap = K - eye - sum(Z.mats[k] @ K @ Z2.mats[k].conj().T for k in range(2))
+    assert np.linalg.norm(gap, 2) <= 1e-12 * np.linalg.norm(K, 2)
 
 
 def test_szego_ball_functional_equation():
@@ -262,6 +318,32 @@ def test_cd_full_check_residual_under_tail():
     t2 = random_siegel_tuple(rng, 2, 2, margin=0.4)
     res = cd_full_check(basis, coeffs, 2, t, t2, tol=1e-8)
     assert res.residual <= res.tail_bound + 1e-12
+
+
+def test_cd_full_check_sums_one_kernel(monkeypatch):
+    _, f, basis, coeffs = rep_setup()
+    rng = np.random.default_rng(64)
+    t = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    t2 = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(f_sandwich(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(opeval, "f_sandwich", counted)
+    res = cd_full_check(basis, coeffs, 2, t, t2, tol=1e-10)
+    assert len(calls) == 1
+    assert res.tail_bound == calls[0].tail_bound
+    assert res.truncation_length == calls[0].truncation_length
+    # the sum of one kernel call per middle term, by linearity the same
+    phis = evaluate_all(basis, 3, t)
+    phis2 = evaluate_all(basis, 3, t2)
+    K = res.kernel
+    two = f_sandwich(t, t2, _cd_bracket(basis, coeffs, 2, phis, phis2, 2) / 2j,
+                     tol=1e-10).value
+    two = two - f_sandwich(t, t2, t.mats[0] @ K @ t2.mats[0].conj().T, tol=1e-10).value
+    assert np.max(np.abs(calls[0].value - two)) <= 1e-12 * np.max(np.abs(two))
 
 
 def test_reproducing_residual_vanishes_for_low_degree():
