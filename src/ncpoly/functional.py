@@ -26,6 +26,15 @@ words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
 involution checks compare each stored word with its reversal rank by rank.
 The moments of an operator model come one length at a time as one matrix
 product (``_hankel_moments``, shared with ``recurrence.favard``).
+
+Moments are validated where they enter from outside: the ``MomentFunctional``
+constructor copies them to complex values and checks s_e = 1 and, for the
+hankel kind, every involution partner and the symmetry s_{I(w)} = conj(s_w)
+(``_involution_defect``); ``jacobi.hamburger_check`` and the loaders in
+``serialize`` go through it. ``from_representation`` and
+``recurrence.favard`` make their moments exact by construction, so they build
+their functional through ``MomentFunctional._exact_hankel``, which skips the
+copy and the involution check and keeps the O(1) field and unit checks.
 """
 
 from __future__ import annotations
@@ -121,11 +130,13 @@ class MomentFunctional:
             raise ValidationError("n_generators must be >= 1")
         if self.max_degree < 0:
             raise ValidationError("max_degree must be >= 0")
-        self.moments = dict(zip(self.moments.keys(), map(complex, self.moments.values())))
+        exact = self.__dict__.pop("_exact", False)
+        if not exact:
+            self.moments = dict(zip(self.moments.keys(), map(complex, self.moments.values())))
         s_e = self.moments.get(EMPTY)
         if s_e is None or abs(s_e - 1.0) > 1e-9:
             raise ValidationError("functional must be unital: moment at 'e' must be 1")
-        if self.kind == "hankel":
+        if self.kind == "hankel" and not exact:
             defect = _involution_defect(self.moments, self.n_generators, _SYM_TOL)
             if defect is not None:
                 what, w, rev = defect
@@ -148,6 +159,23 @@ class MomentFunctional:
                 if kv is not None and abs(kv - v) > _SYM_TOL * scale:
                     raise ValidationError(
                         f"kernel entry (e, {w}) disagrees with stored moment")
+
+    @classmethod
+    def _exact_hankel(cls, n_generators: int, max_degree: int,
+                      moments: dict[Word, complex]) -> "MomentFunctional":
+        """A hankel functional on moments that are exact by construction.
+
+        For the output of ``_hankel_moments``: complex values, s_e = 1,
+        s_{I(w)} = conj(s_w) exactly and every letter in range. The field and
+        unit checks run; the copy and the involution check are skipped. The
+        trust belongs to this construction only: ``f.moments`` is a plain
+        dict, and a later check of it (``hamburger_check(f.moments, ...)``)
+        runs in full.
+        """
+        f = cls.__new__(cls)
+        f._exact = True
+        f.__init__(n_generators, "hankel", max_degree, moments)
+        return f
 
     def _generic_lookup(self, s: Word, t: Word) -> complex | None:
         assert self.kernel is not None
@@ -312,8 +340,7 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     vecs = [v[None, :]]
     for _ in range(half):
         vecs.append(np.concatenate([vecs[-1] @ X[k].T for k in range(n)]))
-    return MomentFunctional(n_generators=n, kind="hankel", max_degree=max_degree,
-                            moments=_hankel_moments(vecs, n, max_degree))
+    return MomentFunctional._exact_hankel(n, max_degree, _hankel_moments(vecs, n, max_degree))
 
 
 def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
@@ -324,7 +351,8 @@ def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
     for n up to h >= top / 2. A word of length m splits as w = p.q with
     |q| = min(h, m), so s_w = <x_q, x_{I(p)}> and each length is one matrix
     product. The symmetry s_{I(w)} = conj(s_w), exact in exact arithmetic, is
-    then made exact in floats, and s_e is set to 1.
+    then made exact in floats, and s_e is set to 1, so the result may go to
+    ``MomentFunctional._exact_hankel``.
     """
     N = n_generators
     h = len(vecs) - 1

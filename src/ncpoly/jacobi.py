@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -184,15 +185,17 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     recurrence blocks of the orthonormal family, from which a concrete
     operator model can be assembled.
     """
-    vals = {Word.parse(w) if isinstance(w, str) else w: complex(s)
-            for w, s in moments.items()}
-    top = max(map(len, map(attrgetter("letters"), vals)), default=0)
+    if any(map(isinstance, moments, repeat(str))):
+        moments = {Word.parse(w) if isinstance(w, str) else w: s for w, s in moments.items()}
+    top = max(map(len, map(attrgetter("letters"), moments)), default=0)
     try:
+        # the constructor's coercion to complex is the one copy of the input
         f = MomentFunctional(n_generators=n_generators, kind="hankel",
-                             max_degree=top, moments=vals)
+                             max_degree=top, moments=moments)
     except ValidationError:
         # tell the refusals apart: a missing partner or s_e is an input gap and
         # an asymmetric pair is a "no"; a foreign letter or s_e != 1 passes on
+        vals = {w: complex(s) for w, s in moments.items()}
         defect = _involution_defect(vals, n_generators, SYMMETRY_TOL)
         if defect is None:
             if EMPTY not in vals:

@@ -20,7 +20,9 @@ the familiar A G A* = I).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,36 +34,77 @@ from .words import EMPTY, Word, level_offsets, shift_map, words_up_to
 DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
 
 
-@dataclass
 class OrthoBasis:
-    """Triangular coefficients of an orthonormal family, rows by word."""
+    """Triangular coefficients of an orthonormal family, rows by word.
 
-    n_generators: int
-    level: int
-    coeffs: dict[Word, dict[Word, complex]]
+    The basis is held in one of two forms and the other is derived from it
+    on first use: the dense lower-triangular coefficient matrix over
+    graded-lex words (the form ``orthogonalize``, ``favard`` and
+    ``szego_recursion`` compute) or the Word-keyed ``coeffs`` rows (the form
+    the constructor takes). Both are read-only, so neither can go stale.
+    """
+
+    def __init__(self, n_generators: int, level: int,
+                 coeffs: dict[Word, dict[Word, complex]]):
+        self.n_generators = n_generators
+        self.level = level
+        self._coeffs = _readonly_rows(coeffs)
+        self._matrix: np.ndarray | None = None
+
+    @classmethod
+    def _from_matrix(cls, n_generators: int, level: int, A: np.ndarray) -> "OrthoBasis":
+        """A basis kept as the lower triangle of A, whose rows are graded-lex words."""
+        basis = cls.__new__(cls)
+        basis.n_generators, basis.level = n_generators, level
+        basis._coeffs = None
+        basis._matrix = np.tril(A)
+        basis._matrix.flags.writeable = False
+        return basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n_generators, self.level, self.coeffs)
+                == (other.n_generators, other.level, other.coeffs))
+
+    __hash__ = None
+
+    @property
+    def coeffs(self) -> Mapping[Word, Mapping[Word, complex]]:
+        """Read-only rows {sigma: {tau: a_{sigma,tau}}}, built from the matrix on first read."""
+        if self._coeffs is None:
+            A, ws = self._matrix, self.words()
+            self._coeffs = _readonly_rows(
+                {w: dict(zip(ws[:i + 1], A[i, :i + 1].tolist())) for i, w in enumerate(ws)})
+        return self._coeffs
 
     def words(self) -> list[Word]:
         return words_up_to(self.level, self.n_generators)
 
     def matrix(self, level: int | None = None) -> np.ndarray:
-        """Dense lower-triangular coefficient matrix over graded-lex words."""
+        """Dense lower-triangular coefficient matrix over graded-lex words (a copy)."""
         lvl = self.level if level is None else level
         if lvl > self.level:
             raise ValidationError(f"basis only valid to level {self.level}")
-        ws = words_up_to(lvl, self.n_generators)
-        idx = {w: i for i, w in enumerate(ws)}
-        A = np.zeros((len(ws), len(ws)), dtype=complex)
-        for i, w in enumerate(ws):
-            row = self.coeffs[w]
-            A[i, [idx[t] for t in row]] = list(row.values())
-        return A
+        if self._matrix is None:
+            ws = self.words()
+            idx = {w: i for i, w in enumerate(ws)}
+            A = np.zeros((len(ws), len(ws)), dtype=complex)
+            for i, w in enumerate(ws):
+                row = self._coeffs[w]
+                A[i, [idx[t] for t in row]] = list(row.values())
+            A.flags.writeable = False
+            self._matrix = A
+        n = level_offsets(self.n_generators, lvl)[-1]
+        return self._matrix[:n, :n].copy()
 
     def leading(self, w: Word) -> float:
         return float(np.real(self.coeffs[w][w]))
 
 
-def _coeffs_from_matrix(A: np.ndarray, ws: list[Word]) -> dict[Word, dict[Word, complex]]:
-    return {w: dict(zip(ws[:i + 1], A[i, :i + 1].tolist())) for i, w in enumerate(ws)}
+def _readonly_rows(coeffs: dict[Word, dict[Word, complex]]
+                   ) -> Mapping[Word, Mapping[Word, complex]]:
+    return MappingProxyType({w: MappingProxyType(dict(row)) for w, row in coeffs.items()})
 
 
 def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
@@ -81,8 +124,7 @@ def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
     A = np.linalg.inv(L)
     di = np.arange(A.shape[0])
     A[di, di] = A[di, di].real
-    return OrthoBasis(n_generators=f.n_generators, level=level,
-                      coeffs=_coeffs_from_matrix(A, G.words))
+    return OrthoBasis._from_matrix(f.n_generators, level, A)
 
 
 def orthonormality_residual(basis: OrthoBasis, G: GramMatrix | np.ndarray,
@@ -205,8 +247,7 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     if dev > tol * max(1.0, float(np.max(np.abs(A)))):
         raise ConsistencyError(
             f"ladder basis deviates from Gram-Schmidt basis by {dev:.3e}")
-    rebuilt = OrthoBasis(n_generators=f.n_generators, level=level,
-                         coeffs=_coeffs_from_matrix(phi, G.words))
+    rebuilt = OrthoBasis._from_matrix(f.n_generators, level, phi)
     sharp_coeffs = {G.words[i]: {G.words[j]: complex(sharp[i, j])
                                  for j in range(i + 1) if sharp[i, j] != 0}
                     for i in range(n)}

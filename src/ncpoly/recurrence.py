@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments
-from .orthopoly import OrthoBasis, _coeffs_from_matrix
-from .words import level_offsets, shift_map, word_at, words_up_to
+from .orthopoly import OrthoBasis
+from .words import level_offsets, shift_map, word_at
 
 HERMITICITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -198,9 +198,8 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
         raise ValidationError(f"levels must be in 1..{coeffs.levels}")
     coeffs.validate(cond_bound)
     N = coeffs.n_generators
-    ws = words_up_to(L, N)
-    W = len(ws)
     offs = level_offsets(N, L)
+    W = offs[L + 1]
     kmaps = shift_map(N, L)
 
     A_full = np.zeros((W, W), dtype=complex)
@@ -221,12 +220,10 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
             nxt -= F.T @ C_lm1
         A_full[offs[l + 1]:offs[l + 2], :] = nxt
 
-    basis = OrthoBasis(n_generators=N, level=L,
-                       coeffs=_coeffs_from_matrix(A_full, ws))
+    basis = OrthoBasis._from_matrix(N, L, A_full)
     # row w of inv(A_full) holds the monomial F_w in the orthonormal family, so
     # s_{p.q} = <F_q, F_{I(p)}> is the inner product of two rows
     Binv_full = np.linalg.inv(A_full)
     rows = [Binv_full[offs[n]:offs[n + 1]] for n in range(L + 1)]
-    f = MomentFunctional(n_generators=N, kind="hankel", max_degree=2 * L,
-                         moments=_hankel_moments(rows, N, 2 * L))
+    f = MomentFunctional._exact_hankel(N, 2 * L, _hankel_moments(rows, N, 2 * L))
     return basis, f

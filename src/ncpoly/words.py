@@ -24,16 +24,21 @@ import numpy as np
 
 from .errors import ValidationError
 
+_INT = frozenset([int])
+
 
 @dataclass(frozen=True)
 class Word:
     letters: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        letters = tuple(map(int, self.letters))
+        # an exact tuple of ints is kept as it is; anything else is normalized
+        letters = self.letters
+        if type(letters) is not tuple or not {*map(type, letters)} <= _INT:
+            letters = tuple(map(int, letters))
+            object.__setattr__(self, "letters", letters)
         if letters and min(letters) < 1:
             raise ValidationError(f"letters must be >= 1, got {letters}")
-        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def of(cls, *letters: int) -> "Word":

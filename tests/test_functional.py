@@ -215,3 +215,53 @@ def test_inner_product_is_sesquilinear():
     scaled_q = {w: lam * c for w, c in q.items()}
     assert abs(inner_product(f, p, scaled_q)
                - np.conj(lam) * inner_product(f, p, q)) < 1e-14
+
+
+def test_pipeline_moments_are_exact_and_checked_only_at_the_edge(monkeypatch):
+    from ncpoly import functional, jacobi
+    from ncpoly.functional import _involution_defect
+    from ncpoly.orthopoly import orthogonalize
+    from ncpoly.recurrence import extract, favard
+
+    mats, v = random_representation(np.random.default_rng(47), 2, 12)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _involution_defect(*args)
+
+    monkeypatch.setattr(functional, "_involution_defect", counted)
+    monkeypatch.setattr(jacobi, "_involution_defect", counted)
+    f = from_representation(mats, v, max_degree=4)
+    coeffs = extract(f, orthogonalize(f, 2), 2)
+    _, f2 = favard(coeffs)
+    assert calls == []
+    for g in (f, f2):
+        assert _involution_defect(g.moments, 2, 0.0) is None
+        assert g.moments[EMPTY] == 1 and type(g.moments) is dict
+        assert g == MomentFunctional(n_generators=g.n_generators, kind=g.kind,
+                                     max_degree=g.max_degree, moments=g.moments)
+    calls.clear()
+    assert jacobi.hamburger_check(f.moments, 2, 2).strictly_positive
+    assert len(calls) == 1
+
+
+def test_edited_pipeline_moments_are_checked_again():
+    from ncpoly.jacobi import hamburger_check
+
+    mats, v = random_representation(np.random.default_rng(48), 2, 12)
+    f = from_representation(mats, v, max_degree=4)
+    f.moments[Word((1, 2))] *= 1.001
+    res = hamburger_check(f.moments, 2, 2)
+    assert not res.positive and "symmetry fails at 1.2" in res.reason
+    with pytest.raises(ValidationError, match="involution symmetry"):
+        MomentFunctional(n_generators=2, kind="hankel", max_degree=4, moments=f.moments)
+
+
+def test_exact_construction_keeps_the_field_checks():
+    ok = {EMPTY: 1.0 + 0.0j}
+    for args in ((0, 2, ok), (1, -1, ok), (1, 2, {EMPTY: 2.0 + 0.0j}), (1, 2, {})):
+        with pytest.raises(ValidationError):
+            MomentFunctional._exact_hankel(*args)
+    f = MomentFunctional._exact_hankel(1, 0, ok)
+    assert f.moments is ok and not hasattr(f, "_exact")

@@ -8,6 +8,7 @@ from ncpoly.functional import MomentFunctional, from_representation, gram
 from ncpoly.orthopoly import (DETERMINANT_CAP, OrthoBasis, determinant_formula,
                               evaluate, orthogonalize, orthonormality_residual,
                               szego_recursion, word_product)
+from ncpoly.recurrence import extract, favard
 from ncpoly.words import EMPTY, Word, words_up_to
 
 from test_functional import random_representation
@@ -206,3 +207,51 @@ def test_basis_matrix_matches_oracle_layout():
     assert [w.letters for w in words] == all_words(2, 2)
     A = basis.matrix()
     assert np.max(np.abs(A - as_matrix(basis, words))) == 0.0
+
+
+def per_row_matrix(basis):
+    """The coefficient matrix rebuilt from ``basis.coeffs`` one Word-keyed row at a time."""
+    ws = words_up_to(basis.level, basis.n_generators)
+    idx = {w: i for i, w in enumerate(ws)}
+    A = np.zeros((len(ws), len(ws)), dtype=complex)
+    for i, w in enumerate(ws):
+        row = basis.coeffs[w]
+        A[i, [idx[t] for t in row]] = list(row.values())
+    return A
+
+
+@pytest.mark.parametrize("N, level", [(1, 5), (2, 3), (3, 2)])
+def test_basis_matrix_is_its_coeffs_bit_for_bit(N, level):
+    rng = np.random.default_rng(60 + N)
+    mats, v = random_representation(rng, N, 40)
+    f = from_representation(mats, v, max_degree=2 * level)
+    chol = orthogonalize(f, level)
+    fav, _ = favard(extract(f, chol, level))
+    ladder, _ = szego_recursion(random_toeplitz(rng, N, level, scale=0.05), level)
+    copied = OrthoBasis(n_generators=N, level=level,
+                        coeffs={w: dict(row) for w, row in chol.coeffs.items()})
+    for basis in (chol, fav, ladder, copied):
+        A = basis.matrix()
+        assert np.array_equal(A.view(np.uint64), per_row_matrix(basis).view(np.uint64))
+        assert np.array_equal(basis.matrix(level - 1), A[:len(words_up_to(level - 1, N)),
+                                                         :len(words_up_to(level - 1, N))])
+        with pytest.raises(TypeError):
+            basis.coeffs[EMPTY] = {EMPTY: 2.0}
+        with pytest.raises(TypeError):
+            basis.coeffs[EMPTY][EMPTY] = 2.0
+        with pytest.raises(ValueError):
+            basis._matrix[0, 0] = 2.0
+        A[0, 0] = 2.0                     # matrix() hands out a copy
+        assert basis.matrix()[0, 0] == 1.0
+    assert np.array_equal(copied.matrix().view(np.uint64), chol.matrix().view(np.uint64))
+
+
+def test_constructed_basis_keeps_its_own_rows():
+    f = random_toeplitz(np.random.default_rng(64), 2, 2)
+    rows = {w: dict(row) for w, row in orthogonalize(f, 2).coeffs.items()}
+    basis = OrthoBasis(n_generators=2, level=2, coeffs=rows)
+    before = basis.matrix()
+    rows[EMPTY][EMPTY] = 5.0
+    rows[Word.of(1)] = {}
+    assert basis.coeffs[EMPTY][EMPTY] == 1.0
+    assert np.array_equal(basis.matrix(), before)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpoly.errors import ValidationError
 from ncpoly.words import (EMPTY, Word, concat, enumerate_level, global_index,
@@ -102,3 +104,49 @@ def test_global_index_matches_position():
     ws = words_up_to(4, 2)
     for i, w in enumerate(ws):
         assert global_index(w, 2) == i
+
+
+def old_word_letters(letters):
+    """The normalization every ``Word`` construction used to run."""
+    letters = tuple(map(int, letters))
+    if letters and min(letters) < 1:
+        raise ValidationError(f"letters must be >= 1, got {letters}")
+    return letters
+
+
+LETTER = st.one_of(st.integers(-2, 4), st.integers(-2, 4).map(np.int64), st.booleans(),
+                   st.floats(-2.5, 4.5, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(LETTER, max_size=5).map(tuple), st.lists(LETTER, max_size=5),
+                 st.lists(st.integers(-1, 3), max_size=5).map(tuple)))
+def test_word_normalizes_letters_as_before(letters):
+    try:
+        want = old_word_letters(letters)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            Word(letters)
+        assert str(got.value) == str(exc)
+        return
+    w = Word(letters)
+    assert w.letters == want and type(w.letters) is tuple
+    assert all(type(l) is int for l in w.letters)
+    assert str(w) == str(Word(want)) and hash(w) == hash(Word(want))
+    if type(letters) is tuple and all(type(l) is int for l in letters):
+        assert w.letters is letters
+
+
+def test_enumerate_level_constructs_each_word_once(monkeypatch):
+    calls = []
+    init = Word.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    for N, n in ((1, 4), (2, 3), (3, 2), (2, 0)):
+        calls.clear()
+        assert len(enumerate_level(n, N)) == N**n
+        assert len(calls) == N**n
