@@ -24,11 +24,11 @@ from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
 from .functional import gram, strict_positivity
-from .orthopoly import (OrthoBasis, determinant_formula, orthogonalize,
+from .orthopoly import (OrthoBasis, _word_stack, determinant_formula, orthogonalize,
                         orthonormality_residual)
 from .recurrence import extract, favard, residual_check
 from .serialize import _cx
-from .words import Word, enumerate_level, words_up_to
+from .words import Word, word_index, words_up_to
 
 
 def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> None:
@@ -249,20 +249,16 @@ def _op_separate(args) -> tuple[str, dict, list]:
     target_err = 0.0
     offword_max = 0.0
     rows = []
+    r = word_index(sigma, N)
     for p, t in enumerate(tuples, start=1):
-        cache: dict[Word, np.ndarray] = {}
         i0 = (p - 1) * u
         j0 = (k + p - 1) * u if p <= k else (p - k - 1) * u
-        for tau in enumerate_level(k, N):
-            prod = opeval.word_product(t.mats, tau, cache)
-            block = prod.conj().T[i0:i0 + u, j0:j0 + u]
-            if tau == sigma:
-                target_err = max(target_err,
-                                 float(np.max(np.abs(block - scale * np.eye(u)))))
-            else:
-                offword_max = max(offword_max, float(np.max(np.abs(block))))
-        star_sigma = opeval.word_product(t.mats, sigma, cache).conj().T
-        rows.append(star_sigma[i0:i0 + u])
+        stars = _word_stack(t.mats, k)[-N**k:].conj().transpose(0, 2, 1)
+        blocks = stars[:, i0:i0 + u, j0:j0 + u]
+        target_err = max(target_err, float(np.max(np.abs(blocks[r] - scale * np.eye(u)))))
+        offword_max = max(offword_max,
+                          float(np.max(np.abs(np.delete(blocks, r, axis=0)), initial=0.0)))
+        rows.append(stars[r, i0:i0 + u])
     rank = int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-10))
     metrics = {"word": str(sigma), "n_tuples": len(tuples),
                "lambda_min": lam_min, "target_error": target_err,

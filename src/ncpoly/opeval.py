@@ -16,6 +16,9 @@ read off the last term added, stops the sum once it is below both the
 tolerance and the rounding level eps ||S_L||_F of the sum, and the tolerance
 is reported. Everything downstream (Szego kernels in both pictures,
 reproduction identities, Christoffel-Darboux) reduces to such sandwiches.
+
+K_n, the Christoffel-Darboux bracket and the reproduction of polynomials
+read phi_sigma(Z) from the one table ``orthopoly`` builds, by graded-lex rank.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, MembershipError, ValidationError
-from .functional import MomentFunctional, inner_product
-from .orthopoly import OrthoBasis, word_product
+from .functional import MomentFunctional, gram
+from .orthopoly import OrthoBasis, _phi_table
 from .recurrence import RecurrenceCoeffs
-from .words import Word, enumerate_level, words_up_to
+from .words import Word, global_index, level_offsets, words_up_to
 
 SANDWICH_CAP = 64
 
@@ -312,30 +315,19 @@ def separating_tuples(sigma: Word, unit_dim: int = 1,
 
 
 def evaluate_all(basis: OrthoBasis, level: int, t: OperatorTuple) -> dict[Word, np.ndarray]:
-    """phi_sigma(Z) for every |sigma| <= level, sharing the word-product cache."""
-    if basis.level < level:
-        raise ValidationError(f"basis valid to level {basis.level}, need {level}")
-    if t.n_generators != basis.n_generators:
-        raise ValidationError("generator count mismatch between basis and point")
-    cache: dict[Word, np.ndarray] = {}
-    prods = {w: word_product(t.mats, w, cache) for w in words_up_to(level, basis.n_generators)}
-    out = {}
-    for w in words_up_to(level, basis.n_generators):
-        acc = np.zeros((t.dim, t.dim), dtype=complex)
-        for tau, a in basis.coeffs[w].items():
-            acc += a * prods[tau]
-        out[w] = acc
-    return out
+    """phi_sigma(Z) for every |sigma| <= level, the rows of one stacked table."""
+    return dict(zip(words_up_to(level, basis.n_generators),
+                    _phi_table(basis, level, t)[0]))
 
 
 def _kernel_terms(basis: OrthoBasis, n: int, level: int, t: OperatorTuple,
-                  t2: OperatorTuple) -> tuple[np.ndarray, dict, dict]:
-    """K_n(W, W') and the phi_sigma at both points for |sigma| <= level."""
-    phis = evaluate_all(basis, level, t)
-    phis2 = evaluate_all(basis, level, t2)
+                  t2: OperatorTuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_n(W, W') and the tables of phi_sigma at both points for |sigma| <= level."""
+    phis = _phi_table(basis, level, t)[0]
+    phis2 = _phi_table(basis, level, t2)[0]
     K = np.zeros((t.dim, t.dim), dtype=complex)
-    for w in words_up_to(n, basis.n_generators):
-        K += phis[w] @ phis2[w].conj().T
+    for i in range(level_offsets(basis.n_generators, n)[-1]):
+        K += phis[i] @ phis2[i].conj().T
     return K, phis, phis2
 
 
@@ -346,40 +338,38 @@ def cd_kernel(basis: OrthoBasis, n: int, t: OperatorTuple,
     return _kernel_terms(basis, n, n, t, t2)[0]
 
 
-def _cd_bracket(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
-                phis: dict[Word, np.ndarray],
-                phis2: dict[Word, np.ndarray], dim: int) -> np.ndarray:
-    """Phi_{n+1}(W) B_{n,N} Phi_n(W')* - Phi_n(W) B_{n,N}* Phi_{n+1}(W')*."""
-    N = coeffs.n_generators
-    B = coeffs.B[n, N]
-    lvl_n = enumerate_level(n, N)
-    lvl_n1 = enumerate_level(n + 1, N)
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, tau in enumerate(lvl_n):
-        left = np.zeros((dim, dim), dtype=complex)
-        for i, rho in enumerate(lvl_n1):
-            if B[i, j] != 0.0:
-                left += B[i, j] * phis[rho]
-        out += left @ phis2[tau].conj().T
-    for i, rho in enumerate(lvl_n1):
-        left = np.zeros((dim, dim), dtype=complex)
-        for j, tau in enumerate(lvl_n):
-            if B[i, j] != 0.0:
-                left += np.conj(B[i, j]) * phis[tau]
-        out -= left @ phis2[rho].conj().T
+def _cd_bracket(coeffs: RecurrenceCoeffs, n: int, phis: np.ndarray,
+                phis2: np.ndarray) -> np.ndarray:
+    """Phi_{n+1}(W) B_{n,N} Phi_n(W')* - Phi_n(W) B_{n,N}* Phi_{n+1}(W')* from phi tables."""
+    B = coeffs.B[n, coeffs.n_generators]
+    lo, mid, hi = level_offsets(coeffs.n_generators, n + 1)[n:]
+    out = np.zeros(phis.shape[1:], dtype=complex)
+    for X, Y in zip(np.tensordot(B.T, phis[mid:hi], axes=1), phis2[lo:mid]):
+        out += X @ Y.conj().T
+    for X, Y in zip(np.tensordot(B.conj(), phis[lo:mid], axes=1), phis2[mid:hi]):
+        out -= X @ Y.conj().T
     return out
+
+
+def _cd_terms(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
+              t: OperatorTuple, t2: OperatorTuple) -> tuple[np.ndarray, np.ndarray]:
+    """K_n(W, W') and the Christoffel-Darboux bracket at level n."""
+    _check_compatible(t, t2)
+    if coeffs.n_generators != basis.n_generators:
+        raise ValidationError(f"recurrence blocks for {coeffs.n_generators} generators, "
+                              f"basis for {basis.n_generators}")
+    if coeffs.levels < n + 1:
+        raise ValidationError(f"need recurrence blocks to level {n + 1}")
+    K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
+    return K, _cd_bracket(coeffs, n, phis, phis2)
 
 
 def cd_inner_identity(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
                       t: OperatorTuple, t2: OperatorTuple) -> float:
     """Residual of W_N K_n - K_n W'_N* against the bracket form; exact identity."""
-    _check_compatible(t, t2)
-    if coeffs.levels < n + 1:
-        raise ValidationError(f"need recurrence blocks to level {n + 1}")
-    K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
+    K, bracket = _cd_terms(basis, coeffs, n, t, t2)
     lhs = t.mats[-1] @ K - K @ t2.mats[-1].conj().T
-    rhs = _cd_bracket(basis, coeffs, n, phis, phis2, t.dim)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - bracket)))
 
 
 @dataclass
@@ -399,13 +389,10 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     finite-level Christoffel-Darboux identity, summed as one kernel sum since
     F is linear in its argument. Residual is max-abs.
     """
-    _check_compatible(t, t2)
     require_membership(t, "siegel")
     require_membership(t2, "siegel")
-    if coeffs.levels < n + 1:
-        raise ValidationError(f"need recurrence blocks to level {n + 1}")
-    K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
-    S = _cd_bracket(basis, coeffs, n, phis, phis2, t.dim) / 2j
+    K, bracket = _cd_terms(basis, coeffs, n, t, t2)
+    S = bracket / 2j
     for k in range(t.n_generators - 1):
         S = S - t.mats[k] @ K @ t2.mats[k].conj().T
     out = f_sandwich(t, t2, S, tol, cap)
@@ -419,19 +406,19 @@ def reproducing_residual(f: MomentFunctional, basis: OrthoBasis, n: int,
     """max-abs gap between sum_sigma <P, phi_sigma> phi_sigma(Z) and P(Z).
 
     Needs deg P <= n; the projection onto the level <= n span is the
-    identity there and nowhere else.
+    identity there and nowhere else. <P, phi_sigma> = (conj(A) G p)_sigma needs
+    the Gram matrix G of f at level n, as any f that gave a level >= n basis has.
     """
-    if any(len(w) > n for w in p):
-        raise ValidationError("polynomial degree exceeds the projection level")
-    phis = evaluate_all(basis, n, t)
-    lhs = np.zeros((t.dim, t.dim), dtype=complex)
-    for w in words_up_to(n, basis.n_generators):
-        a = inner_product(f, p, basis.coeffs[w])
-        lhs += a * phis[w]
-    cache: dict[Word, np.ndarray] = {}
-    rhs = np.zeros((t.dim, t.dim), dtype=complex)
+    N = basis.n_generators
+    pv = np.zeros(level_offsets(N, n)[-1], dtype=complex)
     for w, c in p.items():
-        rhs += c * word_product(t.mats, w, cache)
+        if len(w) > n or max(w.letters, default=0) > N:
+            raise ValidationError(f"word {w} is outside the level-{n} span of {N} generators")
+        pv[global_index(w, N)] = c
+    phis, stack = _phi_table(basis, n, t)
+    coef = np.conj(basis.matrix(n)) @ (gram(f, n).entries @ pv)
+    lhs = np.tensordot(coef, phis, axes=1)
+    rhs = np.tensordot(pv, stack, axes=1)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -16,6 +16,10 @@ against the Cholesky route.
 Coefficient rows pair conjugated against the Gram's first slot: the
 orthonormality identity reads conj(A) G A^T = I (for real moments this is
 the familiar A G A* = I).
+
+At a matrix tuple Z the basis is one table: the products Z_w, |w| <= L,
+stacked by graded-lex rank a level at a time, contracted with the coefficient
+matrix. ``evaluate`` and ``opeval`` read it; ``word_product`` is its reference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import ConsistencyError, PositivityError, ValidationError
 from .functional import (GramMatrix, MomentFunctional, _gram_at, gram,
                          kernel_entry, require_strict_positivity)
-from .words import EMPTY, Word, level_offsets, shift_map, words_up_to
+from .words import EMPTY, Word, global_index, level_offsets, shift_map, words_up_to
 
 DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
 
@@ -254,16 +258,8 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     return rebuilt, SzegoData(gammas=gammas, ds=ds, sharp=sharp_coeffs)
 
 
-def _tuple_mats(point) -> np.ndarray:
-    mats = getattr(point, "mats", point)
-    arr = np.asarray(mats, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValidationError("point must provide matrices of shape (N, d, d)")
-    return arr
-
-
 def word_product(mats: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:
-    """Z_w = Z_{i1} ... Z_{ik}, memoized on suffixes."""
+    """Z_w = Z_{i1} ... Z_{ik}, memoized on suffixes; the reference for ``_word_stack``."""
     hit = cache.get(w)
     if hit is not None:
         return hit
@@ -275,15 +271,33 @@ def word_product(mats: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np
     return out
 
 
+def _word_stack(mats: np.ndarray, level: int) -> np.ndarray:
+    """Z_w for every |w| <= level, stacked in graded-lex order.
+
+    Built a level at a time like the Jacobi vacuum orbit: Z_{k.u} = Z_k Z_u
+    sits at rank (k - 1) N^n + rank(u) among the words of length n + 1.
+    """
+    d = mats.shape[1]
+    stack = [np.eye(d, dtype=complex)[None]]
+    for _ in range(level):
+        stack.append((mats[:, None] @ stack[-1][None]).reshape(-1, d, d))
+    return np.concatenate(stack)
+
+
+def _phi_table(basis: OrthoBasis, level: int, point) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, stack) at Z, by rank over |sigma| <= level: Phi = (A (x) I) stack."""
+    mats = np.asarray(getattr(point, "mats", point), dtype=complex)
+    N = basis.n_generators
+    if mats.ndim != 3 or mats.shape[0] != N or mats.shape[1] != mats.shape[2]:
+        raise ValidationError(f"point must provide {N} square matrices, got shape {mats.shape}")
+    A = basis.matrix(level)
+    stack = _word_stack(mats, level)
+    return np.tensordot(A, stack, axes=1), stack
+
+
 def evaluate(basis: OrthoBasis, sigma: Word, point) -> np.ndarray:
     """phi_sigma at an operator tuple: sum of a_{sigma,tau} Z_tau."""
-    mats = _tuple_mats(point)
-    if mats.shape[0] != basis.n_generators:
-        raise ValidationError("point has the wrong number of generator matrices")
-    d = mats.shape[1]
-    cache: dict[Word, np.ndarray] = {}
-    out = np.zeros((d, d), dtype=complex)
-    for tau, c in basis.coeffs[sigma].items():
-        if c != 0:
-            out += c * word_product(mats, tau, cache)
-    return out
+    N = basis.n_generators
+    if max(sigma.letters, default=0) > N:
+        raise ValidationError(f"word {sigma} uses letters beyond {N} generators")
+    return _phi_table(basis, len(sigma), point)[0][global_index(sigma, N)]

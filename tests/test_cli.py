@@ -8,7 +8,8 @@ from oracles import catalan_moments
 from ncpoly.cli import main
 from ncpoly.functional import MomentFunctional, from_representation
 from ncpoly.opeval import random_ball_tuple
-from ncpoly.serialize import save_moments, save_point
+from ncpoly.orthopoly import orthogonalize
+from ncpoly.serialize import save_basis, save_moments, save_point
 from ncpoly.words import EMPTY, Word
 
 from test_functional import random_representation
@@ -182,6 +183,23 @@ def test_kernel_cd_pipeline(capsys, tmp_path, hankel_file):
                     "--tol", "1e-7")
     assert code == 0
     assert rep["metrics"]["residual"] <= rep["metrics"]["threshold"]
+
+
+def test_kernel_cd_refuses_blocks_for_another_generator_count(capsys, tmp_path, hankel_file):
+    coeffs = str(tmp_path / "coeffs.json")
+    code, _ = run(capsys, "recurrence", "--moments", hankel_file,
+                  "--levels", "3", "--out", coeffs)
+    assert code == 0
+    mats, v = random_representation(np.random.default_rng(82), 3, 20)
+    basis = str(tmp_path / "basis3.json")
+    save_basis(orthogonalize(from_representation(mats, v, max_degree=4), 2), basis)
+    for op in ("cd-inner", "cd-full"):
+        code, rep = run(capsys, "kernel", "--op", op, "--basis", basis,
+                        "--coeffs", coeffs, "--n", "1", "--random-points",
+                        "--dim", "2", "--n-gen", "3", "--seed", "3")
+        assert code == 2
+        assert rep["status"] == "error"
+        assert "basis for 3" in rep["metrics"]["message"]
 
 
 def test_kernel_separate(capsys, tmp_path):

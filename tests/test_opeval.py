@@ -12,11 +12,12 @@ from ncpoly.opeval import (SANDWICH_CAP, OperatorTuple, _cd_bracket, ball_sandwi
                            random_ball_tuple, random_siegel_tuple,
                            reproducing_residual, reproduction_check,
                            separating_tuples, szego_ball, szego_siegel)
-from ncpoly.orthopoly import orthogonalize, word_product
+from ncpoly.orthopoly import OrthoBasis, evaluate, orthogonalize, word_product
 from ncpoly.recurrence import extract
 from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
 
 from test_functional import random_representation
+from test_orthopoly import random_toeplitz
 
 
 def rep_setup(seed=50, levels=3):
@@ -299,6 +300,36 @@ def test_cd_kernel_matches_direct_sum():
     assert np.max(np.abs(K - direct)) == 0.0
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_gen=st.integers(1, 3), level=st.integers(0, 3),
+       dim=st.integers(1, 3), constructed=st.booleans())
+def test_evaluators_match_word_product_reference(seed, n_gen, level, dim, constructed):
+    rng = np.random.default_rng(seed)
+    ws = words_up_to(level, n_gen)
+    if constructed:
+        # Word-keyed rows through the constructor, with some entries left out
+        rows = {s: {t: complex(rng.standard_normal(), rng.standard_normal())
+                    for t in ws[:i + 1] if t == s or rng.random() < 0.7}
+                for i, s in enumerate(ws)}
+        basis = OrthoBasis(n_generators=n_gen, level=level, coeffs=rows)
+    else:
+        basis = orthogonalize(random_toeplitz(rng, n_gen, level, scale=0.03), level)
+    mats = rng.standard_normal((n_gen, dim, dim)) + 1j * rng.standard_normal((n_gen, dim, dim))
+    t = OperatorTuple(n_generators=n_gen, dim=dim, mats=mats)
+    phis = evaluate_all(basis, level, t)
+    assert list(phis) == ws
+    # each side rounds a product Z_tau by <= 9 eps r^|tau| and a sum of <= 40
+    # terms by <= 40 eps, so the two differ by at most 2 * 49 eps * scale
+    r = max(np.linalg.norm(m) for m in mats)
+    bound = 128 * np.finfo(float).eps
+    for s in ws:
+        row = basis.coeffs[s]
+        ref = sum(a * word_product(mats, tau, {}) for tau, a in row.items())
+        scale = sum(abs(a) * r ** len(tau) for tau, a in row.items())
+        assert np.max(np.abs(phis[s] - ref)) <= bound * scale
+        assert np.max(np.abs(evaluate(basis, s, t) - ref)) <= bound * scale
+
+
 def test_cd_inner_identity_holds_at_arbitrary_points():
     _, f, basis, coeffs = rep_setup()
     rng = np.random.default_rng(60)
@@ -320,6 +351,19 @@ def test_cd_full_check_residual_under_tail():
     assert res.residual <= res.tail_bound + 1e-12
 
 
+def test_cd_checks_refuse_blocks_for_another_generator_count():
+    _, _, _, coeffs2 = rep_setup()
+    rng = np.random.default_rng(65)
+    mats, v = random_representation(rng, 3, 20)
+    basis3 = orthogonalize(from_representation(mats, v, max_degree=4), 2)
+    t = random_siegel_tuple(rng, 3, 2, margin=0.4)
+    t2 = random_siegel_tuple(rng, 3, 2, margin=0.4)
+    with pytest.raises(ValidationError, match="2 generators, basis for 3"):
+        cd_inner_identity(basis3, coeffs2, 1, t, t2)
+    with pytest.raises(ValidationError, match="2 generators, basis for 3"):
+        cd_full_check(basis3, coeffs2, 1, t, t2)
+
+
 def test_cd_full_check_sums_one_kernel(monkeypatch):
     _, f, basis, coeffs = rep_setup()
     rng = np.random.default_rng(64)
@@ -337,10 +381,10 @@ def test_cd_full_check_sums_one_kernel(monkeypatch):
     assert res.tail_bound == calls[0].tail_bound
     assert res.truncation_length == calls[0].truncation_length
     # the sum of one kernel call per middle term, by linearity the same
-    phis = evaluate_all(basis, 3, t)
-    phis2 = evaluate_all(basis, 3, t2)
+    phis = np.stack(list(evaluate_all(basis, 3, t).values()))
+    phis2 = np.stack(list(evaluate_all(basis, 3, t2).values()))
     K = res.kernel
-    two = f_sandwich(t, t2, _cd_bracket(basis, coeffs, 2, phis, phis2, 2) / 2j,
+    two = f_sandwich(t, t2, _cd_bracket(coeffs, 2, phis, phis2) / 2j,
                      tol=1e-10).value
     two = two - f_sandwich(t, t2, t.mats[0] @ K @ t2.mats[0].conj().T, tol=1e-10).value
     assert np.max(np.abs(calls[0].value - two)) <= 1e-12 * np.max(np.abs(two))
@@ -358,6 +402,22 @@ def test_reproducing_residual_rejects_high_degree():
     t = random_siegel_tuple(rng, 2, 2, margin=0.4)
     with pytest.raises(ValidationError):
         reproducing_residual(f, basis, 1, {Word((1, 1)): 1.0}, t)
+
+
+def test_reproducing_residual_rejects_foreign_letters():
+    rng, f, basis, coeffs = rep_setup()
+    t = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    with pytest.raises(ValidationError, match="word 3 is outside the level-2 span of 2 generators"):
+        reproducing_residual(f, basis, 2, {EMPTY: 1.0, Word((3,)): 1.0}, t)
+
+
+def test_reproducing_residual_on_a_toeplitz_functional():
+    rng = np.random.default_rng(66)
+    f = random_toeplitz(rng, 2, 3)
+    basis = orthogonalize(f, 3)
+    t = random_ball_tuple(rng, 2, 3, margin=0.4)
+    p = {w: complex(rng.standard_normal(), rng.standard_normal()) for w in words_up_to(3, 2)}
+    assert reproducing_residual(f, basis, 3, p, t) < 1e-12
 
 
 def test_random_tuple_margins():

@@ -182,6 +182,15 @@ def test_evaluate_respects_noncommutativity():
     assert np.max(np.abs(val - ref)) < 1e-12
 
 
+def test_evaluate_rejects_words_outside_the_basis():
+    basis = orthogonalize(random_toeplitz(np.random.default_rng(24), 2, 2), 2)
+    X = np.zeros((2, 2, 2))
+    with pytest.raises(ValidationError, match="only valid to level 2"):
+        evaluate(basis, Word((1, 2, 1)), X)
+    with pytest.raises(ValidationError, match="word 3 uses letters beyond 2"):
+        evaluate(basis, Word((3,)), X)
+
+
 def test_word_product_order():
     X = np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
     # Z_{1.2} = Z_1 Z_2 hits the upper-left unit, Z_{2.1} the lower-right
