@@ -121,14 +121,24 @@ def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
     """
     G = _gram_at(f, level, G)
     require_strict_positivity(f, level, tol, G)
+    return _cholesky_basis(f.n_generators, G)
+
+
+def _cholesky_basis(n_generators: int, G: GramMatrix) -> OrthoBasis:
+    """The basis from the Cholesky factor of a Gram matrix already decided strict.
+
+    Runs no positivity test of its own, so a caller that has decided under
+    its own tolerance keeps that decision; a factorization that still fails
+    raises PositivityError.
+    """
     try:
         L = np.linalg.cholesky(np.conj(G.entries))
     except np.linalg.LinAlgError as exc:
-        raise PositivityError(f"Cholesky failed at level {level}: {exc}") from exc
+        raise PositivityError(f"Cholesky failed at level {G.level}: {exc}") from exc
     A = np.linalg.inv(L)
     di = np.arange(A.shape[0])
     A[di, di] = A[di, di].real
-    return OrthoBasis._from_matrix(f.n_generators, level, A)
+    return OrthoBasis._from_matrix(n_generators, G.level, A)
 
 
 def orthonormality_residual(basis: OrthoBasis, G: GramMatrix | np.ndarray,

@@ -12,6 +12,17 @@ reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
 built only at the edge, where dicts keyed by words come in or go out;
 ``rank_groups`` reads the ranks of a dict's words from their letters.
 
+The words going out are interned: one tuple of ``Word``s per (length, N),
+built on first use and kept for the process. ``enumerate_level`` and
+``words_up_to`` return new lists of them, and every Word-keyed dict or list
+the library makes from rank arrays (moments, Gram words, basis rows, point
+evaluations) reuses them, so a word is constructed once per process rather
+than once per result. For N >= 2 the words kept are at most N / (N - 1) times
+those of the longest length asked for (L + 1 words for N = 1), which is no
+more than the caller already held when it asked. There is no cap and no way
+to clear the tables. An interned word is an ordinary ``Word``: equal to, and
+hashing like, one built by hand.
+
 Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 """
 
@@ -125,18 +136,37 @@ def predecessor(w: Word, n_generators: int) -> Word:
     return Word((n_generators,) * (len(letters) - 1))
 
 
+# (length, n_generators) -> the words of that length by rank, built on first use
+_TABLES: dict[tuple[int, int], tuple[Word, ...]] = {}
+
+
+def _level(n: int, n_generators: int) -> tuple[Word, ...]:
+    """The interned words of length n, lexicographically.
+
+    Each table is built once, through ``Word``, and kept for the process; it
+    is complete before it is published, so a concurrent first call never
+    reads part of one.
+    """
+    table = _TABLES.get((n, n_generators))
+    if table is None:
+        if n < 0:
+            raise ValueError("level must be >= 0")
+        table = tuple(Word(p) for p in
+                      itertools.product(range(1, n_generators + 1), repeat=n))
+        table = _TABLES.setdefault((n, n_generators), table)
+    return table
+
+
 def enumerate_level(n: int, n_generators: int) -> list[Word]:
-    """All words of length n, lexicographically."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return [Word(p) for p in itertools.product(range(1, n_generators + 1), repeat=n)]
+    """All words of length n, lexicographically (a new list of interned words)."""
+    return list(_level(n, n_generators))
 
 
 def words_up_to(level: int, n_generators: int) -> list[Word]:
-    """All words of length <= level in graded-lex order."""
+    """All words of length <= level in graded-lex order (a new list of interned words)."""
     out: list[Word] = []
     for n in range(level + 1):
-        out.extend(enumerate_level(n, n_generators))
+        out.extend(_level(n, n_generators))
     return out
 
 

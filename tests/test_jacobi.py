@@ -145,6 +145,35 @@ def test_hamburger_missing_partner_is_an_input_error():
         hamburger_check(moments, 2, 1)
 
 
+def test_hamburger_keeps_a_strict_verdict_under_a_small_tol():
+    # lambda_min of the level-3 Gram is 2.25e-10: strict under tol=1e-14 but
+    # not under the default tol, which must not come back to refuse it
+    f = from_representation(np.diag([-1.0, 0.0, 1.0, 1.0 + 3e-5])[None], np.ones(4) / 2,
+                            max_degree=6)
+    res = hamburger_check(f.moments, 1, 3, tol=1e-14)
+    assert res.strictly_positive
+    assert 2.2e-10 < res.min_eigenvalue < 2.3e-10
+    assert res.witness is not None and res.witness.levels == 3
+    assert not hamburger_check(f.moments, 1, 3).strictly_positive
+
+
+def test_strict_hamburger_decomposes_the_gram_once(monkeypatch):
+    mats, v = random_representation(np.random.default_rng(46), 2, 20)
+    f = from_representation(mats, v, max_degree=4)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kw):
+            calls.append(_name)
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = hamburger_check(f.moments, 2, 2)
+    assert res.strictly_positive and res.witness is not None
+    assert len(calls) == 1
+
+
 def test_hamburger_agrees_with_strict_positivity():
     rng = np.random.default_rng(44)
     for _ in range(50):
@@ -215,7 +244,7 @@ def test_family_matrices_are_read_only():
 
 def test_moment_refuses_a_foreign_letter():
     fam = random_family(2, 1)
-    for w in (Word.of(3), Word.of(1, 2, 3, 1, 2, 1, 2)):
+    for w in (Word.of(3), Word.of(1, 2, 3, 1, 2, 1, 2), Word.of(3, 1, 2), Word.of(1, 3, 2, 1)):
         with pytest.raises(ValidationError, match=f"word {w} uses letters beyond 2"):
             moment(fam, w)
 

@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncpoly import words as words_mod
 from ncpoly.errors import ValidationError
+from ncpoly.functional import from_representation
 from ncpoly.words import (EMPTY, Word, concat, enumerate_level, global_index,
                           involution, predecessor, successor, word_at,
                           word_index, words_up_to)
@@ -146,7 +151,83 @@ def test_enumerate_level_constructs_each_word_once(monkeypatch):
         init(self)
 
     monkeypatch.setattr(Word, "__post_init__", counted)
+    monkeypatch.setattr(words_mod, "_TABLES", {})
     for N, n in ((1, 4), (2, 3), (3, 2), (2, 0)):
         calls.clear()
-        assert len(enumerate_level(n, N)) == N**n
+        cold = enumerate_level(n, N)
+        assert len(cold) == N**n
         assert len(calls) == N**n
+        calls.clear()
+        warm = enumerate_level(n, N)
+        assert warm == cold and warm is not cold
+        assert all(a is b for a, b in zip(warm, cold))
+        assert calls == []
+        # a returned list is the caller's: changing it leaves the table alone
+        cold.reverse()
+        cold.append(Word.of(N + 1))
+        assert enumerate_level(n, N) == warm
+    calls.clear()
+    ws = words_up_to(3, 2)
+    assert len(calls) == 2 + 4  # levels 1 and 2; levels 0 and 3 are built already
+    assert all(a is b for a, b in zip(ws, enumerate_level(0, 2) + enumerate_level(1, 2)
+                                      + enumerate_level(2, 2) + enumerate_level(3, 2)))
+    calls.clear()
+    assert words_up_to(3, 2) == ws and calls == []
+
+
+def test_a_failed_build_publishes_no_table(monkeypatch):
+    monkeypatch.setattr(words_mod, "_TABLES", {})
+    init = Word.__post_init__
+
+    def fail_late(self):
+        if self.letters == (2, 2):
+            raise RuntimeError("interrupted")
+        init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", fail_late)
+    with pytest.raises(RuntimeError):
+        enumerate_level(2, 2)
+    assert words_mod._TABLES == {}
+    monkeypatch.setattr(Word, "__post_init__", init)
+    assert enumerate_level(2, 2) == [Word.of(1, 1), Word.of(1, 2), Word.of(2, 1), Word.of(2, 2)]
+
+
+def test_concurrent_first_calls_read_one_complete_table(monkeypatch):
+    monkeypatch.setattr(words_mod, "_TABLES", {})
+    got = []
+    start = threading.Barrier(4, timeout=60)
+
+    def first_call():
+        start.wait()
+        got.append(enumerate_level(11, 2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    table = words_mod._TABLES[11, 2]
+    assert len(got) == 4 and len(table) == 2**11
+    assert all(len(ws) == 2**11 and all(a is b for a, b in zip(ws, table)) for ws in got)
+
+
+def test_interned_words_are_ordinary_words():
+    table = words_up_to(3, 2)
+    for w in table:
+        fresh = Word(list(w.letters))
+        assert fresh is not w and fresh == w and hash(fresh) == hash(w)
+        assert not fresh < w and not w < fresh
+    index = dict.fromkeys(table, 0)
+    for text in ("e", "1", "2.1", "1.2.2"):
+        assert Word.parse(text) in index
+    assert Word.of(1, 3) not in index
+    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    f = from_representation(mats, np.array([1.0, 0.0]), max_degree=3)
+    assert f.moment(Word.of(1, 1)) == 1.0
+    assert f.moment(Word.parse("2.1.2")) == f.moments[table[-3]]
