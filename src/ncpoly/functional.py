@@ -39,13 +39,14 @@ copy and the involution check and keeps the O(1) field and unit checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataIncompleteError, PositivityError, ValidationError
-from .words import (EMPTY, Word, concat, enumerate_level, involution,
-                    level_offsets, rank_groups, reversal, word_at, words_up_to)
+from .words import (EMPTY, Word, _Table, _table, concat, involution, level_offsets,
+                    rank_groups, reversal, word_at, words_up_to)
 
 KINDS = ("hankel", "toeplitz", "generic")
 
@@ -162,7 +163,8 @@ class MomentFunctional:
 
     @classmethod
     def _exact_hankel(cls, n_generators: int, max_degree: int,
-                      moments: dict[Word, complex]) -> "MomentFunctional":
+                      moments: dict[Word, complex], tables: Sequence[_Table] = ()
+                      ) -> "MomentFunctional":
         """A hankel functional on moments that are exact by construction.
 
         For the output of ``_hankel_moments``: complex values, s_e = 1,
@@ -170,11 +172,13 @@ class MomentFunctional:
         unit checks run; the copy and the involution check are skipped. The
         trust belongs to this construction only: ``f.moments`` is a plain
         dict, and a later check of it (``hamburger_check(f.moments, ...)``)
-        runs in full.
+        runs in full. The functional holds ``tables``, the shared word
+        tables its moments are keyed by, so they are reused while it lives.
         """
         f = cls.__new__(cls)
         f._exact = True
         f.__init__(n_generators, "hankel", max_degree, moments)
+        f._tables = tuple(tables)
         return f
 
     def _generic_lookup(self, s: Word, t: Word) -> complex | None:
@@ -340,11 +344,11 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     vecs = [v[None, :]]
     for _ in range(half):
         vecs.append(np.concatenate([vecs[-1] @ X[k].T for k in range(n)]))
-    return MomentFunctional._exact_hankel(n, max_degree, _hankel_moments(vecs, n, max_degree))
+    return MomentFunctional._exact_hankel(n, max_degree, *_hankel_moments(vecs, n, max_degree))
 
 
 def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
-                    ) -> dict[Word, complex]:
+                    ) -> tuple[dict[Word, complex], list[_Table]]:
     """Moments s_w = <x_w, x_e> to length top of vectors with x_{k.u} = Y_k x_u.
 
     ``vecs[n][r]`` is x_w for the length-n word of rank r, with Y self-adjoint,
@@ -352,18 +356,21 @@ def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
     |q| = min(h, m), so s_w = <x_q, x_{I(p)}> and each length is one matrix
     product. The symmetry s_{I(w)} = conj(s_w), exact in exact arithmetic, is
     then made exact in floats, and s_e is set to 1, so the result may go to
-    ``MomentFunctional._exact_hankel``.
+    ``MomentFunctional._exact_hankel`` together with the word tables it is
+    keyed by.
     """
     N = n_generators
     h = len(vecs) - 1
     out = {EMPTY: 1.0 + 0.0j}
+    tables = []
     for m in range(1, top + 1):
         b = min(h, m)
         a = m - b
         s = (vecs[a][reversal(a, N)].conj() @ vecs[b].T).reshape(-1)
         s = (s + np.conj(s[reversal(m, N)])) / 2.0
-        out.update(zip(enumerate_level(m, N), s.tolist()))
-    return out
+        tables.append(_table(m, N))
+        out.update(zip(tables[-1].words, s.tolist()))
+    return out, tables
 
 
 def inner_product(f: MomentFunctional, p: dict[Word, complex], q: dict[Word, complex]) -> complex:

@@ -225,5 +225,5 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
     # s_{p.q} = <F_q, F_{I(p)}> is the inner product of two rows
     Binv_full = np.linalg.inv(A_full)
     rows = [Binv_full[offs[n]:offs[n + 1]] for n in range(L + 1)]
-    f = MomentFunctional._exact_hankel(N, 2 * L, _hankel_moments(rows, N, 2 * L))
+    f = MomentFunctional._exact_hankel(N, 2 * L, *_hankel_moments(rows, N, 2 * L))
     return basis, f

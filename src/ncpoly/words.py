@@ -12,16 +12,16 @@ reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
 built only at the edge, where dicts keyed by words come in or go out;
 ``rank_groups`` reads the ranks of a dict's words from their letters.
 
-The words going out are interned: one tuple of ``Word``s per (length, N),
-built on first use and kept for the process. ``enumerate_level`` and
-``words_up_to`` return new lists of them, and every Word-keyed dict or list
-the library makes from rank arrays (moments, Gram words, basis rows, point
-evaluations) reuses them, so a word is constructed once per process rather
-than once per result. For N >= 2 the words kept are at most N / (N - 1) times
-those of the longest length asked for (L + 1 words for N = 1), which is no
-more than the caller already held when it asked. There is no cap and no way
-to clear the tables. An interned word is an ordinary ``Word``: equal to, and
-hashing like, one built by hand.
+The words going out are shared: one table of ``Word``s per (length, N),
+built on first use and kept while a result holds it. A functional whose
+moments the library computes (``from_representation``, ``recurrence.favard``)
+holds the tables of its words, and while it lives ``enumerate_level``,
+``words_up_to`` and every Word-keyed dict or list made from rank arrays
+(moments, Gram words, basis rows, point evaluations) reuse them instead of
+constructing words again. The cache refers to a table only weakly, so the
+words go when the last holder goes and the library keeps nothing of its
+own; with nothing held, every call builds its words afresh. A shared word is
+an ordinary ``Word``: equal to, and hashing like, one built by hand.
 
 Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 """
@@ -29,6 +29,8 @@ Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,37 +138,52 @@ def predecessor(w: Word, n_generators: int) -> Word:
     return Word((n_generators,) * (len(letters) - 1))
 
 
-# (length, n_generators) -> the words of that length by rank, built on first use
-_TABLES: dict[tuple[int, int], tuple[Word, ...]] = {}
+class _Table:
+    """The words of one length by rank; holding it keeps them shared."""
+
+    __slots__ = ("words", "__weakref__")
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.words = words
 
 
-def _level(n: int, n_generators: int) -> tuple[Word, ...]:
-    """The interned words of length n, lexicographically.
+# (length, n_generators) -> that length's table, while something else holds it
+_TABLES: weakref.WeakValueDictionary[tuple[int, int], _Table] = weakref.WeakValueDictionary()
+_BUILD = threading.Lock()
 
-    Each table is built once, through ``Word``, and kept for the process; it
-    is complete before it is published, so a concurrent first call never
-    reads part of one.
+
+def _table(n: int, n_generators: int) -> _Table:
+    """The shared words of length n, lexicographically.
+
+    A table is built through ``Word`` when no live one exists, under a lock,
+    and published complete, so concurrent first calls read one table and a
+    failed build publishes none. It lives as long as a caller holds the
+    returned object.
     """
-    table = _TABLES.get((n, n_generators))
+    key = (n, n_generators)
+    table = _TABLES.get(key)
     if table is None:
         if n < 0:
             raise ValueError("level must be >= 0")
-        table = tuple(Word(p) for p in
-                      itertools.product(range(1, n_generators + 1), repeat=n))
-        table = _TABLES.setdefault((n, n_generators), table)
+        with _BUILD:
+            table = _TABLES.get(key)
+            if table is None:
+                table = _Table(tuple(Word(p) for p in
+                                     itertools.product(range(1, n_generators + 1), repeat=n)))
+                _TABLES[key] = table
     return table
 
 
 def enumerate_level(n: int, n_generators: int) -> list[Word]:
-    """All words of length n, lexicographically (a new list of interned words)."""
-    return list(_level(n, n_generators))
+    """All words of length n, lexicographically (a new list of shared words)."""
+    return list(_table(n, n_generators).words)
 
 
 def words_up_to(level: int, n_generators: int) -> list[Word]:
-    """All words of length <= level in graded-lex order (a new list of interned words)."""
+    """All words of length <= level in graded-lex order (a new list of shared words)."""
     out: list[Word] = []
     for n in range(level + 1):
-        out.extend(_level(n, n_generators))
+        out.extend(_table(n, n_generators).words)
     return out
 
 

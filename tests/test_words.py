@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from ncpoly import words as words_mod
 from ncpoly.errors import ValidationError
 from ncpoly.functional import from_representation
+from ncpoly.jacobi import hamburger_check
+from ncpoly.recurrence import favard
 from ncpoly.words import (EMPTY, Word, concat, enumerate_level, global_index,
                           involution, predecessor, successor, word_at,
                           word_index, words_up_to)
@@ -142,7 +145,9 @@ def test_word_normalizes_letters_as_before(letters):
         assert w.letters is letters
 
 
-def test_enumerate_level_constructs_each_word_once(monkeypatch):
+@pytest.fixture
+def counted_words(monkeypatch):
+    """Empty word tables and a list of every Word constructed from here on."""
     calls = []
     init = Word.__post_init__
 
@@ -151,32 +156,79 @@ def test_enumerate_level_constructs_each_word_once(monkeypatch):
         init(self)
 
     monkeypatch.setattr(Word, "__post_init__", counted)
-    monkeypatch.setattr(words_mod, "_TABLES", {})
+    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
+    return calls
+
+
+def test_enumerate_level_constructs_each_word_once(counted_words):
+    calls = counted_words
     for N, n in ((1, 4), (2, 3), (3, 2), (2, 0)):
         calls.clear()
         cold = enumerate_level(n, N)
         assert len(cold) == N**n
         assert len(calls) == N**n
+        # nothing holds the table, so the next call builds it again
+        calls.clear()
+        assert enumerate_level(n, N) == cold and len(calls) == N**n
+        held = words_mod._table(n, N)
         calls.clear()
         warm = enumerate_level(n, N)
-        assert warm == cold and warm is not cold
-        assert all(a is b for a, b in zip(warm, cold))
-        assert calls == []
+        assert warm == cold and calls == []
+        assert all(a is b for a, b in zip(warm, held.words))
         # a returned list is the caller's: changing it leaves the table alone
-        cold.reverse()
-        cold.append(Word.of(N + 1))
-        assert enumerate_level(n, N) == warm
+        warm.reverse()
+        warm.append(Word.of(N + 1))
+        calls.clear()
+        assert enumerate_level(n, N) == cold and calls == []
+        del held
+        assert len(words_mod._TABLES) == 0
+    held = [words_mod._table(1, 2), words_mod._table(2, 2)]
     calls.clear()
     ws = words_up_to(3, 2)
-    assert len(calls) == 2 + 4  # levels 1 and 2; levels 0 and 3 are built already
-    assert all(a is b for a, b in zip(ws, enumerate_level(0, 2) + enumerate_level(1, 2)
-                                      + enumerate_level(2, 2) + enumerate_level(3, 2)))
+    assert len(calls) == 1 + 8  # levels 0 and 3; levels 1 and 2 are held
+    assert all(a is b for a, b in zip(ws[1:7], held[0].words + held[1].words))
+
+
+def test_a_functional_holds_the_words_of_its_moments(counted_words):
+    calls = counted_words
+    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    f = from_representation(mats, np.array([1.0, 0.0]), max_degree=4)
+    assert len(calls) == 30  # levels 1 to 4; the empty word is EMPTY
     calls.clear()
-    assert words_up_to(3, 2) == ws and calls == []
+    ws = words_up_to(4, 2)
+    assert len(calls) == 1 and all(w in f.moments for w in ws)
+    assert all(a is b for a, b in zip(ws[1:], list(f.moments)[1:]))
+    del f
+    gc.collect()
+    assert len(words_mod._TABLES) == 0
+
+
+def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
+    calls = counted_words
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((2, 8, 8))
+    mats = mats + mats.transpose(0, 2, 1)
+    v = np.ones(8) / np.sqrt(8)
+
+    def pipeline():
+        f = from_representation(mats, v, 4)
+        res = hamburger_check(f.moments, 2, 2)
+        _, f2 = favard(res.witness)
+        return f2.moments, words_up_to(3, 2)
+
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        pipeline()
+        counts.append(len(calls))
+    # favard's moments, the Gram's words and the words of length <= 3 reuse
+    # the tables of from_representation's functional; only the two level-0
+    # words (the Gram's and words_up_to's) are new
+    assert counts == [30 + 2] * 3
 
 
 def test_a_failed_build_publishes_no_table(monkeypatch):
-    monkeypatch.setattr(words_mod, "_TABLES", {})
+    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
     init = Word.__post_init__
 
     def fail_late(self):
@@ -187,19 +239,18 @@ def test_a_failed_build_publishes_no_table(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", fail_late)
     with pytest.raises(RuntimeError):
         enumerate_level(2, 2)
-    assert words_mod._TABLES == {}
+    assert len(words_mod._TABLES) == 0
     monkeypatch.setattr(Word, "__post_init__", init)
     assert enumerate_level(2, 2) == [Word.of(1, 1), Word.of(1, 2), Word.of(2, 1), Word.of(2, 2)]
 
 
-def test_concurrent_first_calls_read_one_complete_table(monkeypatch):
-    monkeypatch.setattr(words_mod, "_TABLES", {})
+def test_concurrent_first_calls_read_one_complete_table(counted_words):
     got = []
     start = threading.Barrier(4, timeout=60)
 
     def first_call():
         start.wait()
-        got.append(enumerate_level(11, 2))
+        got.append(words_mod._table(11, 2))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -212,12 +263,12 @@ def test_concurrent_first_calls_read_one_complete_table(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    table = words_mod._TABLES[11, 2]
-    assert len(got) == 4 and len(table) == 2**11
-    assert all(len(ws) == 2**11 and all(a is b for a, b in zip(ws, table)) for ws in got)
+    assert len(got) == 4 and all(t is got[0] for t in got)
+    assert len(got[0].words) == 2**11 and len(counted_words) == 2**11
+    assert words_mod._TABLES[11, 2] is got[0]
 
 
-def test_interned_words_are_ordinary_words():
+def test_shared_words_are_ordinary_words():
     table = words_up_to(3, 2)
     for w in table:
         fresh = Word(list(w.letters))
