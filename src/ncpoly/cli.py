@@ -23,9 +23,9 @@ from . import opeval
 from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
-from .functional import gram, strict_positivity
-from .orthopoly import (OrthoBasis, _word_stack, determinant_formula, orthogonalize,
-                        orthonormality_residual)
+from .functional import gram, require_strict_positivity, strict_positivity
+from .orthopoly import (OrthoBasis, _cholesky_basis, _word_stack, determinant_formula,
+                        orthogonalize, orthonormality_residual)
 from .recurrence import extract, favard, residual_check
 from .serialize import _cx
 from .words import Word, word_index, words_up_to
@@ -39,15 +39,17 @@ def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> N
 def cmd_orthopoly(args) -> tuple[str, dict, list]:
     f = serialize.load_moments(args.moments)
     G = gram(f, args.level)
-    pos = strict_positivity(f, args.level, G=G)
     if args.method == "determinant":
+        pos = strict_positivity(f, args.level, G=G)
         coeffs = {}
         for w in words_up_to(args.level, f.n_generators):
             coeffs[w] = determinant_formula(f, w)
         basis = OrthoBasis(n_generators=f.n_generators, level=args.level,
                            coeffs=coeffs)
     else:
-        basis = orthogonalize(f, args.level, G=G)
+        # decided here, so factor without the second test orthogonalize would run
+        pos = require_strict_positivity(f, args.level, G=G)
+        basis = _cholesky_basis(f.n_generators, G)
     resid = orthonormality_residual(basis, G)
     artifacts = []
     if args.out:

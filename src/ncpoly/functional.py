@@ -290,19 +290,19 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
                       G: GramMatrix | None = None) -> PositivityResult:
     """Decide strict positive definiteness of the Gram matrix at a level.
 
-    The test is min eigenvalue > tol * max(1, largest diagonal entry), via a
-    symmetric eigensolver. On failure the certificate is the unit eigenvector
-    for the minimal eigenvalue, keyed by words: a polynomial of near-zero
-    norm against the functional. ``G`` is the Gram matrix at the level when
-    the caller has built it already.
+    The test is min eigenvalue > tol * max(1, largest diagonal entry), decided
+    on the eigenvalues alone. Only a refusal computes eigenvectors: its
+    certificate is the unit eigenvector for the minimal eigenvalue, keyed by
+    words, a polynomial of near-zero norm against the functional. The
+    reported minimum is the eigenvalue decided on. ``G`` is the Gram matrix
+    at the level when the caller has built it already.
     """
     G = _gram_at(f, level, G)
-    vals, vecs = np.linalg.eigh(G.entries)
+    lam = float(np.linalg.eigvalsh(G.entries)[0])
     threshold = tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
-    lam = float(vals[0])
     if lam > threshold:
         return PositivityResult(ok=True, min_eigenvalue=lam, threshold=threshold)
-    vec = vecs[:, 0]
+    vec = np.linalg.eigh(G.entries)[1][:, 0]
     cert = {w: complex(vec[i]) for i, w in enumerate(G.words)}
     return PositivityResult(ok=False, min_eigenvalue=lam, threshold=threshold,
                             certificate=cert)

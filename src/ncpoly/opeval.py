@@ -83,12 +83,13 @@ def membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipRes
     return MembershipResult(inside=lam > tol, lambda_min=lam, which=which)
 
 
-def require_membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> None:
+def require_membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipResult:
     res = membership(t, which, tol)
     if not res.inside:
         raise MembershipError(
             f"tuple is not strictly inside the {which} region "
             f"(lambda_min = {res.lambda_min:.6g})")
+    return res
 
 
 def cayley(t: OperatorTuple, tol: float = 1e-8) -> OperatorTuple:
@@ -147,8 +148,13 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     """
     mats = np.asarray(mats, dtype=complex)
     mats2 = np.asarray(mats2, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    r = _row_norm(mats) * _row_norm(mats2)
+    return _sandwich(mats, mats2, np.asarray(T, dtype=complex),
+                     _row_norm(mats) * _row_norm(mats2), tol, cap)
+
+
+def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
+              tol: float, cap: int) -> KernelResult:
+    """``ball_sandwich`` for a caller that knows r, the product of the row norms."""
     if r >= 1.0:
         raise ConvergenceError(f"joint row radius r = {r:.6g} >= 1, sum diverges")
     normT = float(np.linalg.norm(T, 2))
@@ -185,9 +191,18 @@ def szego_ball(t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
                cap: int = SANDWICH_CAP) -> KernelResult:
     """K(Z, Z') = sum_sigma Z_sigma Z'_sigma* for two ball points."""
     _check_compatible(t, t2)
-    require_membership(t, "ball")
-    require_membership(t2, "ball")
-    return ball_sandwich(t.mats, t2.mats, np.eye(t.dim), tol, cap)
+    r = _ball_row_norm(t) * _ball_row_norm(t2)
+    return _sandwich(t.mats, t2.mats, np.eye(t.dim, dtype=complex), r, tol, cap)
+
+
+def _ball_row_norm(t: OperatorTuple) -> float:
+    """||sum Z_k Z_k*||^(1/2) of a ball point, read off its membership eigenvalue.
+
+    The top eigenvalue of sum Z_k Z_k* is 1 - lambda_min(I - sum Z_k Z_k*),
+    so the one decomposition that decides membership gives the norm too.
+    """
+    lam = require_membership(t, "ball").lambda_min
+    return float(np.sqrt(max(0.0, 1.0 - lam)))
 
 
 def _right_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -387,10 +402,10 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
 
     K_n(W, W') = F(W, W')[bracket/(2i) - sum_{k<N} W_k K_n W'_k*], the
     finite-level Christoffel-Darboux identity, summed as one kernel sum since
-    F is linear in its argument. Residual is max-abs.
+    F is linear in its argument. Residual is max-abs. ``f_sandwich`` takes
+    both points back to the ball, which raises MembershipError for a point
+    outside the half-space.
     """
-    require_membership(t, "siegel")
-    require_membership(t2, "siegel")
     K, bracket = _cd_terms(basis, coeffs, n, t, t2)
     S = bracket / 2j
     for k in range(t.n_generators - 1):

@@ -11,7 +11,10 @@ ladder driven by one scalar per word: left multiplication by a generator
 maps phi_sigma to phi_{k.sigma} up to a correction along an auxiliary
 family phi#, mirroring the classical orthogonal-polynomials-on-the-circle
 recursion. ``szego_recursion`` rebuilds the basis that way and verifies it
-against the Cholesky route.
+against the Cholesky route. It decides positivity once (eigenvalues only)
+and factors the Gram matrix once: the factor that gives the Cholesky basis
+also gives the leading minors the ladder scalars need. The phi# family is
+kept as a dense matrix; its Word-keyed rows are built on first read.
 
 Coefficient rows pair conjugated against the Gram's first slot: the
 orthonormality identity reads conj(A) G A^T = I (for real moments this is
@@ -25,7 +28,6 @@ matrix. ``evaluate`` and ``opeval`` read it; ``word_product`` is its reference.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -131,6 +133,11 @@ def _cholesky_basis(n_generators: int, G: GramMatrix) -> OrthoBasis:
     its own tolerance keeps that decision; a factorization that still fails
     raises PositivityError.
     """
+    return OrthoBasis._from_matrix(n_generators, G.level, _cholesky(G)[1])
+
+
+def _cholesky(G: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(L, A): the lower Cholesky factor L of conj(G) and A = L^-1 with a real diagonal."""
     try:
         L = np.linalg.cholesky(np.conj(G.entries))
     except np.linalg.LinAlgError as exc:
@@ -138,7 +145,7 @@ def _cholesky_basis(n_generators: int, G: GramMatrix) -> OrthoBasis:
     A = np.linalg.inv(L)
     di = np.arange(A.shape[0])
     A[di, di] = A[di, di].real
-    return OrthoBasis._from_matrix(n_generators, G.level, A)
+    return L, A
 
 
 def orthonormality_residual(basis: OrthoBasis, G: GramMatrix | np.ndarray,
@@ -189,13 +196,46 @@ def determinant_formula(f: MomentFunctional, sigma: Word, tol: float = 1e-9) -> 
     return coeffs
 
 
-@dataclass
 class SzegoData:
-    """Per-word ladder scalars and the auxiliary family coefficients."""
+    """Per-word ladder scalars and the auxiliary family coefficients.
 
-    gammas: dict[Word, complex]
-    ds: dict[Word, float]
-    sharp: dict[Word, dict[Word, complex]]
+    ``sharp`` holds the phi# rows {w: {tau: coefficient}}, zeros omitted.
+    ``szego_recursion`` keeps them as the ladder's dense matrix over
+    graded-lex words and builds the rows on first read.
+    """
+
+    def __init__(self, gammas: dict[Word, complex], ds: dict[Word, float],
+                 sharp: dict[Word, dict[Word, complex]]):
+        self.gammas, self.ds = gammas, ds
+        self._sharp = sharp
+
+    @classmethod
+    def _from_matrix(cls, gammas: dict[Word, complex], ds: dict[Word, float],
+                     n_generators: int, level: int, S: np.ndarray) -> "SzegoData":
+        """Ladder data whose phi# rows are the lower triangle of S, by graded-lex word."""
+        data = cls(gammas, ds, None)
+        data._n_generators, data._level = n_generators, level
+        data._matrix = S
+        data._matrix.flags.writeable = False
+        return data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gammas, self.ds, self.sharp) == (other.gammas, other.ds, other.sharp)
+
+    __hash__ = None
+
+    @property
+    def sharp(self) -> dict[Word, dict[Word, complex]]:
+        if self._sharp is None:
+            ws, S = words_up_to(self._level, self._n_generators), self._matrix
+            rows = {}
+            for i, w in enumerate(ws):
+                nz = np.flatnonzero(S[i, :i + 1])
+                rows[w] = dict(zip([ws[j] for j in nz], S[i, nz].tolist()))
+            self._sharp = rows
+        return self._sharp
 
 
 def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
@@ -216,12 +256,12 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     if f.kind != "toeplitz":
         raise ValidationError("the scalar ladder applies to toeplitz functionals")
     G = gram(f, level)
-    basis = orthogonalize(f, level, G=G)
+    require_strict_positivity(f, level, G=G)
     n = len(G.words)
-    A = basis.matrix()
-
-    Lbar = np.linalg.cholesky(np.conj(G.entries))
-    diag = np.real(np.diag(Lbar))
+    # one factor serves both the Gram-Schmidt basis and the leading minors
+    L, A = _cholesky(G)
+    A = np.tril(A)
+    diag = np.real(np.diag(L))
     lead = np.concatenate([[1.0], np.cumprod(diag**2)])  # order-m minors
     if n > 1:
         L1 = np.linalg.cholesky(np.conj(G.entries[1:, 1:]))
@@ -262,10 +302,7 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
         raise ConsistencyError(
             f"ladder basis deviates from Gram-Schmidt basis by {dev:.3e}")
     rebuilt = OrthoBasis._from_matrix(f.n_generators, level, phi)
-    sharp_coeffs = {G.words[i]: {G.words[j]: complex(sharp[i, j])
-                                 for j in range(i + 1) if sharp[i, j] != 0}
-                    for i in range(n)}
-    return rebuilt, SzegoData(gammas=gammas, ds=ds, sharp=sharp_coeffs)
+    return rebuilt, SzegoData._from_matrix(gammas, ds, f.n_generators, level, sharp)
 
 
 def word_product(mats: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:

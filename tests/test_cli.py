@@ -12,7 +12,7 @@ from ncpoly.orthopoly import orthogonalize
 from ncpoly.serialize import save_basis, save_moments, save_point
 from ncpoly.words import EMPTY, Word
 
-from test_functional import random_representation
+from test_functional import count_linalg, random_representation
 
 
 def run(capsys, *argv):
@@ -61,6 +61,13 @@ def test_orthopoly_command(capsys, tmp_path, catalan_file):
     assert rep["status"] == "ok"
     assert rep["metrics"]["orthonormality_residual"] < 1e-9
     assert rep["artifacts"] == [out]
+
+
+def test_orthopoly_decides_positivity_once(capsys, monkeypatch, catalan_file):
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    code, rep = run(capsys, "orthopoly", "--moments", catalan_file, "--level", "4")
+    assert code == 0 and rep["metrics"]["min_eigenvalue"] > 0
+    assert calls == ["eigvalsh"]
 
 
 def test_orthopoly_determinant_method(capsys, catalan_file):

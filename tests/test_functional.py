@@ -35,6 +35,18 @@ def random_representation(rng, n_gen, dim, spread=1.0):
     return mats, v / np.linalg.norm(v)
 
 
+def count_linalg(monkeypatch, *names):
+    """Record the name of each call of the named ``np.linalg`` functions, in order."""
+    calls = []
+    for name in names:
+        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kw):
+            calls.append(_name)
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_kind_is_checked():
     with pytest.raises(ValidationError):
         MomentFunctional(n_generators=1, kind="fourier", max_degree=0,
@@ -172,6 +184,26 @@ def test_strict_positivity_rejects_and_certifies():
     assert val.real < 0
     with pytest.raises(PositivityError):
         require_strict_positivity(f, 1)
+
+
+def test_strict_positivity_takes_eigenvectors_only_to_refuse(monkeypatch):
+    mats, v = random_representation(np.random.default_rng(4), 2, 16)
+    f = from_representation(mats, v, max_degree=4)
+    G = gram(f, 2)
+    lam = float(np.linalg.eigvalsh(G.entries)[0])
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    res = strict_positivity(f, 2, G=G)
+    assert res.ok and calls == ["eigvalsh"]
+    assert res.min_eigenvalue == lam
+
+    bad = MomentFunctional(n_generators=1, kind="hankel", max_degree=2,
+                           moments={EMPTY: 1.0, Word((1,)): 0.0, Word((1, 1)): -1.0})
+    calls.clear()
+    res = strict_positivity(bad, 1)
+    assert not res.ok and calls == ["eigvalsh", "eigh"]
+    G = gram(bad, 1)
+    vec = np.array([res.certificate[w] for w in G.words])
+    assert (np.conj(vec) @ G.entries @ vec).real < 0
 
 
 def test_from_representation_matches_direct_expectation():

@@ -185,6 +185,7 @@ def test_hamburger_agrees_with_strict_positivity():
         res = hamburger_check(f.moments, 1, 2, tol=1e-12)
         pos = strict_positivity(f, 2, tol=1e-12)
         assert res.positive == (pos.min_eigenvalue > -1e-9)
+        assert res.min_eigenvalue == pos.min_eigenvalue
 
 
 @functools.lru_cache(maxsize=None)

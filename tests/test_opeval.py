@@ -16,7 +16,7 @@ from ncpoly.orthopoly import OrthoBasis, evaluate, orthogonalize, word_product
 from ncpoly.recurrence import extract
 from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
 
-from test_functional import random_representation
+from test_functional import count_linalg, random_representation
 from test_orthopoly import random_toeplitz
 
 
@@ -172,6 +172,24 @@ def test_szego_ball_fast_decay_returns_under_cap():
     K = res.value
     gap = K - eye - sum(Z.mats[k] @ K @ Z2.mats[k].conj().T for k in range(2))
     assert np.linalg.norm(gap, 2) <= 1e-12 * np.linalg.norm(K, 2)
+
+
+def test_szego_ball_reads_row_norms_off_membership(monkeypatch):
+    rng = np.random.default_rng(67)
+    Z = random_ball_tuple(rng, 2, 8, margin=0.3)
+    Z2 = random_ball_tuple(rng, 2, 8, margin=0.3)
+    ref = ball_sandwich(Z.mats, Z2.mats, np.eye(8))
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    res = szego_ball(Z, Z2)
+    assert calls == ["eigvalsh", "eigvalsh"]
+    assert res.truncation_length == ref.truncation_length
+    assert res.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+    assert np.max(np.abs(res.value - ref.value)) <= 1e-13
+    outside = OperatorTuple(n_generators=2, dim=8, mats=2.0 * Z.mats)
+    with pytest.raises(MembershipError):
+        szego_ball(outside, Z2)
+    with pytest.raises(MembershipError):
+        szego_ball(Z, outside)
 
 
 def test_szego_ball_functional_equation():
@@ -349,6 +367,26 @@ def test_cd_full_check_residual_under_tail():
     t2 = random_siegel_tuple(rng, 2, 2, margin=0.4)
     res = cd_full_check(basis, coeffs, 2, t, t2, tol=1e-8)
     assert res.residual <= res.tail_bound + 1e-12
+
+
+def test_cd_full_check_tests_each_membership_once(monkeypatch):
+    _, f, basis, coeffs = rep_setup()
+    rng = np.random.default_rng(68)
+    t = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    t2 = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    cd_full_check(basis, coeffs, 2, t, t2)
+    # one membership test per point in cayley_inverse, one row norm per image
+    assert calls == ["eigvalsh"] * 4
+    # W_N* has the opposite imaginary part, so this point lies outside
+    mats = t.mats.copy()
+    mats[-1] = mats[-1].conj().T
+    outside = OperatorTuple(n_generators=2, dim=2, mats=mats)
+    assert not membership(outside, "siegel").inside
+    with pytest.raises(MembershipError):
+        cd_full_check(basis, coeffs, 2, outside, t2)
+    with pytest.raises(MembershipError):
+        cd_full_check(basis, coeffs, 2, t, outside)
 
 
 def test_cd_checks_refuse_blocks_for_another_generator_count():

@@ -6,12 +6,12 @@ from oracles import all_words, gram_schmidt_basis, hankel_kernel, toeplitz_kerne
 from ncpoly.errors import PositivityError, ValidationError
 from ncpoly.functional import MomentFunctional, from_representation, gram
 from ncpoly.orthopoly import (DETERMINANT_CAP, OrthoBasis, determinant_formula,
-                              evaluate, orthogonalize, orthonormality_residual,
-                              szego_recursion, word_product)
+                              SzegoData, evaluate, orthogonalize,
+                              orthonormality_residual, szego_recursion, word_product)
 from ncpoly.recurrence import extract, favard
 from ncpoly.words import EMPTY, Word, words_up_to
 
-from test_functional import random_representation
+from test_functional import count_linalg, random_representation
 
 
 def random_toeplitz(rng, n_gen, max_degree, scale=0.1):
@@ -156,6 +156,46 @@ def test_szego_rejects_contradictory_data():
     f = MomentFunctional(n_generators=1, kind="toeplitz", max_degree=2, moments=c)
     with pytest.raises(PositivityError):
         szego_recursion(f, 2)
+
+
+def test_szego_recursion_factors_the_gram_once(monkeypatch):
+    f = random_toeplitz(np.random.default_rng(25), 2, 3, scale=0.08)
+    calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh")
+    szego_recursion(f, 3)
+    # one decision, then one factor of G and one of G without the empty word
+    assert sorted(calls) == ["cholesky", "cholesky", "eigvalsh"]
+
+
+@pytest.mark.parametrize("N, level", [(1, 4), (2, 3), (3, 2)])
+def test_szego_sharp_rows_are_the_reversed_family(N, level):
+    # phi#_w has unit norm, pairs positively with F_e and is orthogonal to
+    # every F_v with e < v <= w, as the reversed polynomial phi*_n on the circle
+    f = random_toeplitz(np.random.default_rng(70 + N), N, level, scale=0.05)
+    _, data = szego_recursion(f, level)
+    G = gram(f, level)
+    assert list(data.sharp) == G.words
+    for i, w in enumerate(G.words):
+        row = data.sharp[w]
+        assert all(c != 0 for c in row.values())
+        s = np.array([row.get(t, 0.0) for t in G.words])
+        assert not s[i + 1:].any()
+        pairs = G.entries @ s
+        assert abs(np.conj(s) @ pairs - 1.0) <= 1e-13
+        assert pairs[0].real > 0 and abs(pairs[0].imag) <= 1e-13
+        assert np.max(np.abs(pairs[1:i + 1]), initial=0.0) <= 1e-13
+
+
+def test_szego_data_keeps_given_rows():
+    rows = {EMPTY: {EMPTY: 1.0 + 0.0j}}
+    data = SzegoData(gammas={}, ds={}, sharp=rows)
+    assert data.sharp is rows
+    c = {w: (1.0 + 0.0j if len(w) == 0 else 0.0j) for w in words_up_to(1, 1)}
+    f = MomentFunctional(n_generators=1, kind="toeplitz", max_degree=1, moments=c)
+    _, built = szego_recursion(f, 1)
+    assert built.sharp is built.sharp
+    # with zero data phi#_w = 1 for every w, the reversal of the monomial F_w
+    assert built == SzegoData(gammas=built.gammas, ds=built.ds,
+                              sharp={EMPTY: {EMPTY: 1.0}, Word.of(1): {EMPTY: 1.0}})
 
 
 def test_evaluate_matches_scalar_polynomial():
