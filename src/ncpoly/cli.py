@@ -23,7 +23,7 @@ from . import opeval
 from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
-from .functional import gram, require_strict_positivity, strict_positivity
+from .functional import _refuse_unless_strict, gram, strict_positivity
 from .orthopoly import (OrthoBasis, _cholesky_basis, _word_stack, determinant_formula,
                         orthogonalize, orthonormality_residual)
 from .recurrence import extract, favard, residual_check
@@ -39,16 +39,16 @@ def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> N
 def cmd_orthopoly(args) -> tuple[str, dict, list]:
     f = serialize.load_moments(args.moments)
     G = gram(f, args.level)
+    pos = strict_positivity(f, args.level, G=G)
     if args.method == "determinant":
-        pos = strict_positivity(f, args.level, G=G)
         coeffs = {}
         for w in words_up_to(args.level, f.n_generators):
             coeffs[w] = determinant_formula(f, w)
         basis = OrthoBasis(n_generators=f.n_generators, level=args.level,
                            coeffs=coeffs)
     else:
-        # decided here, so factor without the second test orthogonalize would run
-        pos = require_strict_positivity(f, args.level, G=G)
+        # the verdict above is orthogonalize's, so factor without deciding again
+        _refuse_unless_strict(pos, args.level)
         basis = _cholesky_basis(f.n_generators, G)
     resid = orthonormality_residual(basis, G)
     artifacts = []

@@ -311,12 +311,17 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
 def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
                               G: GramMatrix | None = None) -> PositivityResult:
     res = strict_positivity(f, level, tol, G)
+    _refuse_unless_strict(res, level)
+    return res
+
+
+def _refuse_unless_strict(res: PositivityResult, level: int) -> None:
+    """Raise the PositivityError of ``require_strict_positivity`` for a refused verdict."""
     if not res.ok:
         raise PositivityError(
             f"Gram matrix at level {level} is not strictly positive "
             f"(min eigenvalue {res.min_eigenvalue:.3e})",
             min_eigenvalue=res.min_eigenvalue, certificate=res.certificate)
-    return res
 
 
 def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> MomentFunctional:

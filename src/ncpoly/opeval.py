@@ -83,13 +83,15 @@ def membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipRes
     return MembershipResult(inside=lam > tol, lambda_min=lam, which=which)
 
 
-def require_membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipResult:
+def require_membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> None:
     res = membership(t, which, tol)
     if not res.inside:
-        raise MembershipError(
-            f"tuple is not strictly inside the {which} region "
-            f"(lambda_min = {res.lambda_min:.6g})")
-    return res
+        raise _outside(which, res.lambda_min)
+
+
+def _outside(which: str, lam: float) -> MembershipError:
+    return MembershipError(f"tuple is not strictly inside the {which} region "
+                           f"(lambda_min = {lam:.6g})")
 
 
 def cayley(t: OperatorTuple, tol: float = 1e-8) -> OperatorTuple:
@@ -124,9 +126,13 @@ class KernelResult:
     tail_bound: float
 
 
+def _row_norm_sq(mats: np.ndarray) -> float:
+    """lambda_max(sum Z_k Z_k*), the squared block-row operator norm."""
+    return float(np.linalg.eigvalsh(sum(m @ m.conj().T for m in mats))[-1])
+
+
 def _row_norm(mats: np.ndarray) -> float:
-    M = sum(m @ m.conj().T for m in mats)
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(M)[-1])))
+    return float(np.sqrt(max(0.0, _row_norm_sq(mats))))
 
 
 def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
@@ -195,14 +201,18 @@ def szego_ball(t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
     return _sandwich(t.mats, t2.mats, np.eye(t.dim, dtype=complex), r, tol, cap)
 
 
-def _ball_row_norm(t: OperatorTuple) -> float:
-    """||sum Z_k Z_k*||^(1/2) of a ball point, read off its membership eigenvalue.
+def _ball_row_norm(t: OperatorTuple, tol: float = 1e-8) -> float:
+    """The block-row norm of a point, which must lie in the ball.
 
-    The top eigenvalue of sum Z_k Z_k* is 1 - lambda_min(I - sum Z_k Z_k*),
-    so the one decomposition that decides membership gives the norm too.
+    One eigenvalue p = lambda_max(sum Z_k Z_k*) gives both: the point is
+    inside when 1 - p, the least eigenvalue of its ball defect, exceeds tol,
+    and the norm is sqrt(p). p is taken directly, not as 1 minus the
+    defect's eigenvalue, which would lose it to cancellation near the origin.
     """
-    lam = require_membership(t, "ball").lambda_min
-    return float(np.sqrt(max(0.0, 1.0 - lam)))
+    p = _row_norm_sq(t.mats)
+    if not 1.0 - p > tol:
+        raise _outside("ball", 1.0 - p)
+    return float(np.sqrt(max(0.0, p)))
 
 
 def _right_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -402,9 +412,12 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
 
     K_n(W, W') = F(W, W')[bracket/(2i) - sum_{k<N} W_k K_n W'_k*], the
     finite-level Christoffel-Darboux identity, summed as one kernel sum since
-    F is linear in its argument. Residual is max-abs. ``f_sandwich`` takes
-    both points back to the ball, which raises MembershipError for a point
-    outside the half-space.
+    F is linear in its argument. Residual is max-abs.
+
+    Membership of both points is tested once, by ``f_sandwich`` taking them
+    back to the ball, so a point outside the half-space raises
+    MembershipError only after K_n and the bracket are built; mismatched
+    tuples or recurrence blocks raise ValidationError before it.
     """
     K, bracket = _cd_terms(basis, coeffs, n, t, t2)
     S = bracket / 2j

@@ -28,6 +28,7 @@ matrix. ``evaluate`` and ``opeval`` read it; ``word_product`` is its reference.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -196,46 +197,51 @@ def determinant_formula(f: MomentFunctional, sigma: Word, tol: float = 1e-9) -> 
     return coeffs
 
 
+@dataclass
 class SzegoData:
     """Per-word ladder scalars and the auxiliary family coefficients.
 
     ``sharp`` holds the phi# rows {w: {tau: coefficient}}, zeros omitted.
-    ``szego_recursion`` keeps them as the ladder's dense matrix over
-    graded-lex words and builds the rows on first read.
+    ``szego_recursion`` hands them over as a read-only mapping that keeps
+    the ladder's dense phi# matrix and builds the rows on first read.
     """
 
-    def __init__(self, gammas: dict[Word, complex], ds: dict[Word, float],
-                 sharp: dict[Word, dict[Word, complex]]):
-        self.gammas, self.ds = gammas, ds
-        self._sharp = sharp
+    gammas: dict[Word, complex]
+    ds: dict[Word, float]
+    sharp: Mapping[Word, dict[Word, complex]]
 
-    @classmethod
-    def _from_matrix(cls, gammas: dict[Word, complex], ds: dict[Word, float],
-                     n_generators: int, level: int, S: np.ndarray) -> "SzegoData":
-        """Ladder data whose phi# rows are the lower triangle of S, by graded-lex word."""
-        data = cls(gammas, ds, None)
-        data._n_generators, data._level = n_generators, level
-        data._matrix = S
-        data._matrix.flags.writeable = False
-        return data
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gammas, self.ds, self.sharp) == (other.gammas, other.ds, other.sharp)
+class _SharpRows(Mapping):
+    """Rows {w: {tau: S[w, tau]}} of a lower-triangular S over graded-lex words.
 
-    __hash__ = None
+    Zeros are omitted. The dict of rows is built on first read and kept.
+    """
 
-    @property
-    def sharp(self) -> dict[Word, dict[Word, complex]]:
-        if self._sharp is None:
-            ws, S = words_up_to(self._level, self._n_generators), self._matrix
+    def __init__(self, words: list[Word], S: np.ndarray):
+        self._words, self._matrix = words, S
+        self._rows: dict[Word, dict[Word, complex]] | None = None
+
+    def _built(self) -> dict[Word, dict[Word, complex]]:
+        if self._rows is None:
+            ws, S = self._words, self._matrix
             rows = {}
             for i, w in enumerate(ws):
                 nz = np.flatnonzero(S[i, :i + 1])
                 rows[w] = dict(zip([ws[j] for j in nz], S[i, nz].tolist()))
-            self._sharp = rows
-        return self._sharp
+            self._rows = rows
+        return self._rows
+
+    def __getitem__(self, w: Word) -> dict[Word, complex]:
+        return self._built()[w]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
@@ -302,7 +308,7 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
         raise ConsistencyError(
             f"ladder basis deviates from Gram-Schmidt basis by {dev:.3e}")
     rebuilt = OrthoBasis._from_matrix(f.n_generators, level, phi)
-    return rebuilt, SzegoData._from_matrix(gammas, ds, f.n_generators, level, sharp)
+    return rebuilt, SzegoData(gammas=gammas, ds=ds, sharp=_SharpRows(G.words, sharp))
 
 
 def word_product(mats: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:

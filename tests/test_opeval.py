@@ -174,7 +174,7 @@ def test_szego_ball_fast_decay_returns_under_cap():
     assert np.linalg.norm(gap, 2) <= 1e-12 * np.linalg.norm(K, 2)
 
 
-def test_szego_ball_reads_row_norms_off_membership(monkeypatch):
+def test_szego_ball_decides_membership_on_the_row_norms(monkeypatch):
     rng = np.random.default_rng(67)
     Z = random_ball_tuple(rng, 2, 8, margin=0.3)
     Z2 = random_ball_tuple(rng, 2, 8, margin=0.3)
@@ -183,13 +183,28 @@ def test_szego_ball_reads_row_norms_off_membership(monkeypatch):
     res = szego_ball(Z, Z2)
     assert calls == ["eigvalsh", "eigvalsh"]
     assert res.truncation_length == ref.truncation_length
-    assert res.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
-    assert np.max(np.abs(res.value - ref.value)) <= 1e-13
+    assert res.tail_bound == ref.tail_bound
+    assert np.array_equal(res.value, ref.value)
     outside = OperatorTuple(n_generators=2, dim=8, mats=2.0 * Z.mats)
     with pytest.raises(MembershipError):
         szego_ball(outside, Z2)
     with pytest.raises(MembershipError):
         szego_ball(Z, outside)
+
+
+def test_szego_ball_bound_holds_near_the_origin():
+    # r is read off lambda_max(sum Z_k Z_k*) itself: taken as 1 minus the
+    # defect's least eigenvalue it would round to 0 here and stop the sum at once
+    U = np.linalg.qr(np.random.default_rng(69).normal(size=(3, 3)))[0]
+    Z = OperatorTuple(n_generators=1, dim=3, mats=[5e-9 * np.eye(3)])
+    Z2 = OperatorTuple(n_generators=1, dim=3, mats=[0.9 * U])
+    res = szego_ball(Z, Z2)
+    exact = np.linalg.inv(np.eye(3) - 4.5e-9 * U.T)
+    assert res.truncation_length > 0 and res.tail_bound > 0
+    # the bound covers the truncation; a few eps cover the rounding of the sum
+    assert np.linalg.norm(res.value - exact, 2) <= res.tail_bound + 8 * np.finfo(float).eps
+    ref = ball_sandwich(Z.mats, Z2.mats, np.eye(3))
+    assert (res.truncation_length, res.tail_bound) == (ref.truncation_length, ref.tail_bound)
 
 
 def test_szego_ball_functional_equation():
@@ -387,6 +402,9 @@ def test_cd_full_check_tests_each_membership_once(monkeypatch):
         cd_full_check(basis, coeffs, 2, outside, t2)
     with pytest.raises(MembershipError):
         cd_full_check(basis, coeffs, 2, t, outside)
+    # the blocks are checked while K_n is built, before f_sandwich tests membership
+    with pytest.raises(ValidationError, match="need recurrence blocks"):
+        cd_full_check(basis, coeffs, 3, outside, t2)
 
 
 def test_cd_checks_refuse_blocks_for_another_generator_count():

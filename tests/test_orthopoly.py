@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,8 @@ def test_szego_data_keeps_given_rows():
     # with zero data phi#_w = 1 for every w, the reversal of the monomial F_w
     assert built == SzegoData(gammas=built.gammas, ds=built.ds,
                               sharp={EMPTY: {EMPTY: 1.0}, Word.of(1): {EMPTY: 1.0}})
+    assert repr(built.sharp) == repr({EMPTY: {EMPTY: 1 + 0j}, Word.of(1): {EMPTY: 1 + 0j}})
+    assert dataclasses.replace(built, sharp=None).sharp is None
 
 
 def test_evaluate_matches_scalar_polynomial():
