@@ -18,8 +18,12 @@ polynomials P, Q therefore have inner product <P, Q> = q^H G p.
 
 Moments are kept at the edge as a dict keyed by ``Word`` (``f.moments``,
 which callers may change). A computation that needs them locates them by
-graded-lex rank, read off each word's letters (``words.rank_groups``); no
-rank array is kept on the functional, so none can go stale. The hankel Gram
+graded-lex rank (``words.rank_groups``): by position where the keys are the
+live shared word tables in graded-lex order, as in every dict the library
+computes, and by each word's letters otherwise. No rank array is kept on a
+functional whose moments a caller can reach, so none can go stale; only
+``jacobi.hamburger_check``'s own functional, built on its private copy,
+carries the read of its involution check to its one Gram. The hankel Gram
 is then a block gather: block (i, j) is the length-(i + j) moment array
 reshaped to N^i x N^j, its rows permuted by the reversal of the length-i
 words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
@@ -28,13 +32,16 @@ The moments of an operator model come one length at a time as one matrix
 product (``_hankel_moments``, shared with ``recurrence.favard``).
 
 Moments are validated where they enter from outside: the ``MomentFunctional``
-constructor copies them to complex values and checks s_e = 1 and, for the
-hankel kind, every involution partner and the symmetry s_{I(w)} = conj(s_w)
-(``_involution_defect``); ``jacobi.hamburger_check`` and the loaders in
-``serialize`` go through it. ``from_representation`` and
-``recurrence.favard`` make their moments exact by construction, so they build
-their functional through ``MomentFunctional._exact_hankel``, which skips the
-copy and the involution check and keeps the O(1) field and unit checks.
+constructor copies them (``dict`` keeps each key's stored hash; values are
+made complex only when some value is not one) and checks s_e = 1 and, for
+the hankel kind, every involution partner and the symmetry
+s_{I(w)} = conj(s_w) within ``SYMMETRY_TOL`` (``_involution_defect``); the
+loaders in ``serialize`` go through it. ``jacobi.hamburger_check`` makes the
+same copy and runs the same check itself, from one rank read that its Gram
+reuses. ``from_representation`` and ``recurrence.favard`` make their moments
+exact by construction, so they build their functional through
+``MomentFunctional._exact_hankel``, which skips the copy and the involution
+check and keeps the O(1) field and unit checks.
 """
 
 from __future__ import annotations
@@ -50,18 +57,35 @@ from .words import (EMPTY, Word, _Table, _table, concat, involution, level_offse
 
 KINDS = ("hankel", "toeplitz", "generic")
 
-_SYM_TOL = 1e-10
+# |s_{I(w)} - conj(s_w)| allowed, relative to max(1, max |s|); also the
+# Hermiticity tolerance of a generic kernel
+SYMMETRY_TOL = 1e-10
+
+_COMPLEX = frozenset([complex])
 
 
-def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int
-                  ) -> list[np.ndarray]:
+def _complex_moments(moments: dict[Word, complex]) -> dict[Word, complex]:
+    """A copy with complex values, bit-identical to complex() of each.
+
+    ``dict`` keeps the stored hash of every key; only a copy whose values
+    are not all complex is rebuilt, hashing its keys again.
+    """
+    out = dict(moments)
+    if not {*map(type, out.values())} <= _COMPLEX:
+        out = {w: complex(s) for w, s in out.items()}
+    return out
+
+
+def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int,
+                   ranks: tuple | None = None) -> list[np.ndarray]:
     """Moments of every word of length <= top, one rank-indexed array per length.
 
     Raises DataIncompleteError naming the first absent word in graded-lex
     order. Stored words with letters beyond n_generators are not read.
+    ``ranks`` is ``rank_groups(moments, n_generators)`` when already read.
     """
     N = n_generators
-    groups, _ = rank_groups(moments, N)
+    groups, _ = rank_groups(moments, N) if ranks is None else ranks
     vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
     out = []
     for n in range(top + 1):
@@ -77,17 +101,18 @@ def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int
     return out
 
 
-def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: float
-                      ) -> tuple[str, Word, Word] | None:
+def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: float,
+                       ranks: tuple | None = None) -> tuple[str, Word, Word] | None:
     """First stored word w whose partner I(w) breaks s_{I(w)} = conj(s_w).
 
     Returns None, ("missing", w, I(w)) when the partner is not stored, or
     ("asymmetric", w, I(w)) when |s_{I(w)} - conj(s_w)| exceeds tol times
     max(1, max |s|); w is the first such word in graded-lex order. A word
-    with a letter beyond n_generators raises ValidationError.
+    with a letter beyond n_generators raises ValidationError. ``ranks`` is
+    ``rank_groups(moments, n_generators)`` when already read.
     """
     N = n_generators
-    groups, foreign = rank_groups(moments, N)
+    groups, foreign = rank_groups(moments, N) if ranks is None else ranks
     if foreign:
         w = list(moments)[foreign[0]]
         raise ValidationError(f"word {w} uses letters beyond {N} generators")
@@ -123,6 +148,8 @@ class MomentFunctional:
     max_degree: int
     moments: dict[Word, complex]
     kernel: dict[tuple[Word, Word], complex] | None = None
+    # rank_groups of moments, set only by _exact_hankel for a private copy
+    _ranks = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -133,12 +160,12 @@ class MomentFunctional:
             raise ValidationError("max_degree must be >= 0")
         exact = self.__dict__.pop("_exact", False)
         if not exact:
-            self.moments = dict(zip(self.moments.keys(), map(complex, self.moments.values())))
+            self.moments = _complex_moments(self.moments)
         s_e = self.moments.get(EMPTY)
         if s_e is None or abs(s_e - 1.0) > 1e-9:
             raise ValidationError("functional must be unital: moment at 'e' must be 1")
         if self.kind == "hankel" and not exact:
-            defect = _involution_defect(self.moments, self.n_generators, _SYM_TOL)
+            defect = _involution_defect(self.moments, self.n_generators, SYMMETRY_TOL)
             if defect is not None:
                 what, w, rev = defect
                 if what == "missing":
@@ -152,33 +179,39 @@ class MomentFunctional:
             self.kernel = {k: complex(v) for k, v in self.kernel.items()}
             for (s, t), v in self.kernel.items():
                 rv = self.kernel.get((t, s))
-                if rv is not None and abs(rv - np.conj(v)) > _SYM_TOL * max(1.0, abs(v)):
+                if rv is not None and abs(rv - np.conj(v)) > SYMMETRY_TOL * max(1.0, abs(v)):
                     raise ValidationError(f"kernel not Hermitian at ({s}, {t})")
             scale = max(1.0, max(abs(v) for v in self.moments.values()))
             for w, v in self.moments.items():
                 kv = self._generic_lookup(EMPTY, w)
-                if kv is not None and abs(kv - v) > _SYM_TOL * scale:
+                if kv is not None and abs(kv - v) > SYMMETRY_TOL * scale:
                     raise ValidationError(
                         f"kernel entry (e, {w}) disagrees with stored moment")
 
     @classmethod
     def _exact_hankel(cls, n_generators: int, max_degree: int,
-                      moments: dict[Word, complex], tables: Sequence[_Table] = ()
-                      ) -> "MomentFunctional":
-        """A hankel functional on moments that are exact by construction.
+                      moments: dict[Word, complex], tables: Sequence[_Table] = (),
+                      ranks: tuple | None = None) -> "MomentFunctional":
+        """A hankel functional on moments that need no copy and no involution check.
 
-        For the output of ``_hankel_moments``: complex values, s_e = 1,
-        s_{I(w)} = conj(s_w) exactly and every letter in range. The field and
-        unit checks run; the copy and the involution check are skipped. The
-        trust belongs to this construction only: ``f.moments`` is a plain
-        dict, and a later check of it (``hamburger_check(f.moments, ...)``)
-        runs in full. The functional holds ``tables``, the shared word
-        tables its moments are keyed by, so they are reused while it lives.
+        For the output of ``_hankel_moments`` (complex values, s_e = 1,
+        s_{I(w)} = conj(s_w) exactly and every letter in range), or for
+        ``hamburger_check``'s own copy once it has checked the involution.
+        The field and unit checks run; the copy and the involution check are
+        skipped. The trust belongs to this construction only: ``f.moments``
+        is a plain dict, and a later check of it
+        (``hamburger_check(f.moments, ...)``) runs in full. The functional
+        holds ``tables``, the shared word tables its moments are keyed by, so
+        they are reused while it lives. ``ranks`` is
+        ``rank_groups(moments, n_generators)`` for moments no caller can
+        change; ``gram`` then reuses it.
         """
         f = cls.__new__(cls)
         f._exact = True
         f.__init__(n_generators, "hankel", max_degree, moments)
         f._tables = tuple(tables)
+        if ranks is not None:
+            f._ranks = ranks
         return f
 
     def _generic_lookup(self, s: Word, t: Word) -> complex | None:
@@ -246,7 +279,7 @@ def gram(f: MomentFunctional, level: int) -> GramMatrix:
     offs = level_offsets(N, level)
     G = np.zeros((len(ws), len(ws)), dtype=complex)
     if f.kind == "hankel":
-        m = _moment_arrays(f.moments, N, 2 * level)
+        m = _moment_arrays(f.moments, N, 2 * level, f._ranks)
         for i in range(level + 1):
             perm = reversal(i, N)
             for j in range(i, level + 1):

@@ -23,17 +23,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
-from .functional import MomentFunctional, _involution_defect, gram
+from .functional import (SYMMETRY_TOL, MomentFunctional, _complex_moments,
+                         _involution_defect, gram)
 from .orthopoly import _cholesky_basis
 from .recurrence import RecurrenceCoeffs, extract
-from .words import EMPTY, Word, level_offsets
-
-SYMMETRY_TOL = 1e-10
+from .words import EMPTY, Word, level_offsets, rank_groups
 
 
 @dataclass(frozen=True)
@@ -185,31 +183,33 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     than an input error. Strict positivity additionally yields a witness: the
     recurrence blocks of the orthonormal family, from which a concrete
     operator model can be assembled.
+
+    The moments are copied once, as by the ``MomentFunctional`` constructor,
+    and their ranks read once: the involution check, the classification of
+    its refusal and the Gram gather share that read.
     """
     if any(map(isinstance, moments, repeat(str))):
         moments = {Word.parse(w) if isinstance(w, str) else w: s for w, s in moments.items()}
-    top = max(map(len, map(attrgetter("letters"), moments)), default=0)
-    try:
-        # the constructor's coercion to complex is the one copy of the input
-        f = MomentFunctional(n_generators=n_generators, kind="hankel",
-                             max_degree=top, moments=moments)
-    except ValidationError:
-        # tell the refusals apart: a missing partner or s_e is an input gap and
-        # an asymmetric pair is a "no"; a foreign letter or s_e != 1 passes on
-        vals = {w: complex(s) for w, s in moments.items()}
-        defect = _involution_defect(vals, n_generators, SYMMETRY_TOL)
-        if defect is None:
-            if EMPTY not in vals:
-                raise DataIncompleteError("e", "empty-word moment missing") from None
-            raise
+    # the refusals in order: a foreign letter is an input error, a missing
+    # partner or s_e an input gap, an asymmetric pair a "no"; then the
+    # constructor's field and unit checks
+    vals = _complex_moments(moments)
+    ranks = rank_groups(vals, n_generators)
+    defect = _involution_defect(vals, n_generators, SYMMETRY_TOL, ranks)
+    if defect is not None:
         what, w, rev = defect
         if what == "missing":
             raise DataIncompleteError(str(rev), f"moment for {rev} missing "
-                                      f"(involution partner of {w})") from None
+                                      f"(involution partner of {w})")
         return HamburgerResult(
             positive=False, strictly_positive=False, min_eigenvalue=float("nan"),
             reason=f"involution symmetry fails at {w}: "
                    f"s_I(w) = {vals[rev]:.6g}, conj(s_w) = {np.conj(vals[w]):.6g}")
+    if EMPTY not in vals:
+        raise DataIncompleteError("e", "empty-word moment missing")
+    # with no foreign word, every stored length is a key of the rank groups
+    top = max(ranks[0])
+    f = MomentFunctional._exact_hankel(n_generators, top, vals, ranks=ranks)
     G = gram(f, level)
     eig = np.linalg.eigvalsh(G.entries)
     lam = float(eig[0])

@@ -9,8 +9,9 @@ rank(w) = sum (w_i - 1) N^(n - i), and the words of length <= L sit in one
 graded-lex vector at level_offsets(N, L)[n] + rank(w). Concatenation and
 reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
 ``reversal`` and ``shift_map`` tabulate I(w) and k.u. ``Word`` objects are
-built only at the edge, where dicts keyed by words come in or go out;
-``rank_groups`` reads the ranks of a dict's words from their letters.
+built only at the edge, where dicts keyed by words come in or go out.
+``rank_groups`` ranks a dict's words: by position where they are the live
+shared tables below, in order, and by their letters otherwise.
 
 The words going out are shared: one table of ``Word``s per (length, N),
 built on first use and kept while a result holds it. A functional whose
@@ -29,6 +30,7 @@ Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -252,13 +254,43 @@ def global_index(w: Word, n_generators: int) -> int:
 
 
 def rank_groups(words, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
-    """Ranks of a sequence of words, grouped by length, read off their letters.
+    """Ranks of a sequence of words, grouped by length.
 
     Returns {n: (positions, ranks, reversal ranks)} for the words whose
     letters are all <= n_generators (positions index the sequence), and the
     positions of the other words. Ranks are int64 arrays, or object arrays
     of Python ints once N^(n-1) reaches 2^62.
+
+    A leading run of whole levels is ranked by position: the empty word
+    first, then at each length n the words of the live shared table, the
+    same objects in the same order (as in the library's moment dicts and
+    ``words_up_to``), rank r at offset r. The walk stops at the first level
+    that does not match; the words from there on are ranked by their letters.
     """
+    N = n_generators
+    words = list(words)
+    head, p, n = {}, 0, 0
+    # with N < 1 the levels past 0 hold no words, so none can be matched
+    while N >= 1 and len(words) - p >= N**n:
+        if n == 0:
+            same = words[0] == EMPTY
+        else:
+            table = _TABLES.get((n, N))
+            same = table is not None and all(map(operator.is_, words[p:p + N**n], table.words))
+        if not same:
+            break
+        head[n] = (np.arange(p, p + N**n), np.arange(N**n), reversal(n, N))
+        p, n = p + N**n, n + 1
+    tail, foreign = _letter_groups(words[p:], N)
+    for n, (pos, ranks, rev) in tail.items():
+        tail[n] = (pos + p, ranks, rev)
+        if n in head:  # a list may repeat a level; a dict's repeat is all foreign
+            tail[n] = tuple(map(np.concatenate, zip(head.pop(n), tail[n])))
+    return dict(sorted({**head, **tail}.items())), [i + p for i in foreign]
+
+
+def _letter_groups(words: list, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
+    """``rank_groups`` read off every word's letters."""
     N = n_generators
     letters = [w.letters for w in words]
     lens = np.fromiter(map(len, letters), dtype=np.int64, count=len(letters))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpoly import functional, jacobi, orthopoly, recurrence
+from ncpoly import functional, jacobi, orthopoly, recurrence, words
 from ncpoly.errors import DataIncompleteError, ValidationError
 from ncpoly.functional import (MomentFunctional, from_representation, gram,
                                kernel_entry)
@@ -196,3 +196,122 @@ def test_favard_of_the_witness_reproduces_the_moments(seed, n_gen, level):
     scale = max(1.0, max(abs(s) for s in f.moments.values()))
     gap = max(abs(back.moments[w] - s) for w, s in f.moments.items())
     assert gap <= 1e-8 * scale
+
+
+def assert_same_groups(got, want):
+    (g, gf), (w, wf) = got, want
+    assert list(g) == list(w) and gf == wf
+    for n in w:
+        for a, b in zip(g[n], w[n]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def fresh(seq):
+    return [Word(w.letters) for w in seq]
+
+
+EDITS = ("none", "delete", "reinsert", "foreign", "empty-absent", "empty-last", "truncate-top")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_gen=st.integers(1, 3), level=st.integers(1, 3),
+       source=st.sampled_from(("representation", "favard", "words_up_to")),
+       edit=st.sampled_from(EDITS), read_shift=st.integers(-1, 1))
+def test_rank_groups_by_position_matches_the_letters(seed, n_gen, level, source, edit,
+                                                     read_shift):
+    rng = np.random.default_rng(seed)
+    mats, v = random_representation(rng, n_gen, len(words_up_to(level, n_gen)) + 2)
+    f = from_representation(mats, v, max_degree=2 * level)
+    if source == "favard":
+        _, f = favard(hamburger_check(f.moments, n_gen, level).witness)
+    seq = words_up_to(2 * level, n_gen) if source == "words_up_to" else dict(f.moments)
+    keys = list(seq)
+    if edit == "delete":
+        keys.pop(int(rng.integers(len(keys))))
+    elif edit == "reinsert":
+        keys.append(keys.pop(int(rng.integers(len(keys)))))
+    elif edit == "foreign":
+        letters = rng.integers(1, n_gen + 1, size=int(rng.integers(1, 4)))
+        letters[rng.integers(len(letters))] = n_gen + 1
+        keys.insert(len(keys) if isinstance(seq, dict) else int(rng.integers(len(keys) + 1)),
+                    Word(tuple(letters.tolist())))
+    elif edit == "empty-absent":
+        keys.remove(EMPTY)
+    elif edit == "empty-last":
+        keys.remove(EMPTY)
+        keys.append(EMPTY)
+    elif edit == "truncate-top":
+        del keys[-int(rng.integers(1, n_gen ** (2 * level) + 1)):]
+    if isinstance(seq, dict):
+        seq = {w: seq.get(w, 0j) for w in keys}
+    else:
+        seq = keys
+    n_read = max(1, n_gen + read_shift)
+    got = rank_groups(seq, n_read)
+    assert_same_groups(got, rank_groups(fresh(seq), n_read))
+    assert_same_groups(got, words._letter_groups(fresh(seq), n_read))
+    assert f is not None  # its word tables stay live through the reads above
+
+
+def test_library_words_are_ranked_without_reading_letters(monkeypatch):
+    read = []
+    letter_groups = words._letter_groups
+
+    def counted(seq, n_gen):
+        read.append(len(seq))
+        return letter_groups(seq, n_gen)
+
+    monkeypatch.setattr(words, "_letter_groups", counted)
+    mats, v = random_representation(np.random.default_rng(16), 2, 12)
+    f = from_representation(mats, v, max_degree=4)
+    for seq in (f.moments, words_up_to(4, 2), words_up_to(2, 2)):
+        assert rank_groups(seq, 2)[1] == []
+    assert read == [0, 0, 0]
+    rank_groups(fresh(f.moments), 2)
+    rank_groups({**f.moments, EMPTY: 1.0}, 2)
+    assert read[3:] == [len(f.moments) - 1, 0]
+
+
+def hamburger_outcome(moments, n_gen, level):
+    try:
+        return hamburger_check(moments, n_gen, level)
+    except (DataIncompleteError, ValidationError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("n_gen,level,dim", [(2, 3, 18), (2, 2, 9), (2, 2, 5), (3, 1, 6)])
+@pytest.mark.parametrize("edit", ["none", "value", "partner", "foreign"])
+def test_hamburger_agrees_on_shared_and_fresh_words(n_gen, level, dim, edit):
+    mats, v = random_representation(np.random.default_rng([n_gen, level, dim]), n_gen, dim)
+    f = from_representation(mats, v, max_degree=2 * level)
+    shared = f.moments
+    asym = next(w for w in shared if w.letters != w.letters[::-1])
+    if edit == "value":
+        shared[asym] *= 1.001
+    elif edit == "partner":
+        del shared[involution(asym)]
+    elif edit == "foreign":
+        shared[Word.of(n_gen + 1, 1)] = 0.5
+    own = {Word(w.letters): s for w, s in shared.items()}
+    a, b = (hamburger_outcome(m, n_gen, level) for m in (shared, own))
+    if edit == "none":
+        assert a.positive == b.positive and a.strictly_positive == b.strictly_positive
+        assert bits(np.array(a.min_eigenvalue)) == bits(np.array(b.min_eigenvalue))
+        assert (a.witness is None) == (b.witness is None) == (dim < len(words_up_to(level, n_gen)))
+        if a.witness is not None:
+            for blocks in ("A", "B"):
+                x, y = getattr(a.witness, blocks), getattr(b.witness, blocks)
+                assert list(x) == list(y)
+                assert all(np.array_equal(bits(x[k]), bits(y[k])) for k in x)
+    elif edit == "value":
+        assert not a.positive and a.reason == b.reason
+    elif edit == "partner":
+        assert isinstance(a, DataIncompleteError) and isinstance(b, DataIncompleteError)
+        assert a.key == b.key == str(involution(asym))
+    else:
+        assert isinstance(a, ValidationError) and str(a) == str(b)
+        assert "uses letters beyond" in str(a)
+
+
+def test_hamburger_and_the_constructor_share_one_symmetry_tolerance():
+    assert jacobi.SYMMETRY_TOL is functional.SYMMETRY_TOL
