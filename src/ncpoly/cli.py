@@ -124,11 +124,9 @@ def cmd_jacobi(args) -> tuple[str, dict, list]:
         metrics["truncated"] = mv.truncated
     artifacts = []
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"n_generators": coeffs.n_generators,
-                       "level": args.truncate, "size": family[0].size,
-                       "J": [serialize._matrix_out(J.matrix) for J in family]},
-                      fh, indent=2)
+        serialize._write(args.out, {"n_generators": coeffs.n_generators,
+                                    "level": args.truncate, "size": family[0].size,
+                                    "J": [serialize._matrix_out(J.matrix) for J in family]})
         artifacts.append(args.out)
     return "ok", metrics, artifacts
 
@@ -270,14 +268,9 @@ def _op_separate(args) -> tuple[str, dict, list]:
           and offword_max <= 1e-10 and rank == 2 * k * u)
     artifacts = []
     if args.out:
-        data = []
-        for t in tuples:
-            data.append({"n_generators": t.n_generators, "dim": t.dim,
-                         "region": t.region,
-                         "matrices": [serialize._matrix_out(t.mats[j])
-                                      for j in range(t.n_generators)]})
-        with open(args.out, "w") as fh:
-            json.dump({"tuples": data}, fh, indent=2)
+        serialize._write(args.out, {"tuples": [
+            {"n_generators": t.n_generators, "dim": t.dim, "region": t.region,
+             "matrices": serialize._matrix_out(t.mats)} for t in tuples]})
         artifacts.append(args.out)
     return ("ok" if ok else "fail"), metrics, artifacts
 

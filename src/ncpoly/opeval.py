@@ -163,17 +163,29 @@ def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
     """``ball_sandwich`` for a caller that knows r, the product of the row norms."""
     if r >= 1.0:
         raise ConvergenceError(f"joint row radius r = {r:.6g} >= 1, sum diverges")
-    normT = float(np.linalg.norm(T, 2))
-    if normT == 0.0:
+    if not T.any():
         return KernelResult(value=np.zeros_like(T), truncation_length=0,
                             tail_bound=0.0)
+    # ||T||_2 >= ||T||_F / sqrt(d): the a-priori rule cannot fire while this
+    # lower bound, shrunk a little against rounding, keeps the bound above tol,
+    # so the 2-norm (an SVD) is taken only once it might; an overflowed
+    # Frobenius norm bounds nothing and takes it at once
+    lower = float(np.sqrt(np.vdot(T, T).real / min(T.shape))) * (1.0 - 1e-8)
+    lower = lower if np.isfinite(lower) else 0.0
+    normT = None
     adj2 = [m.conj().T for m in mats2]
     eps = np.finfo(float).eps
     total = T.copy()
     term = T
     L = 0
     while True:
-        prior = 0.0 if r == 0.0 else normT * r ** (L + 1) / (1.0 - r)
+        if r == 0.0:
+            prior = 0.0
+        elif lower * r ** (L + 1) / (1.0 - r) > tol:
+            prior = np.inf          # above tol, as its lower bound is
+        else:
+            normT = float(np.linalg.norm(T, 2)) if normT is None else normT
+            prior = normT * r ** (L + 1) / (1.0 - r)
         if prior <= tol:
             return KernelResult(value=total, truncation_length=L, tail_bound=prior)
         post = r * np.sqrt(np.vdot(term, term).real) / (1.0 - r)

@@ -26,6 +26,8 @@ def _cx(v: complex) -> list[float]:
 
 
 def _uncx(v: Any, where: str) -> complex:
+    if type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+        return complex(v[0], v[1])
     if isinstance(v, (int, float)):
         return complex(v)
     if (isinstance(v, list) and len(v) == 2
@@ -46,20 +48,41 @@ def _word(text: Any, where: str, n_generators: int | None = None) -> Word:
 def _matrix(rows: Any, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError(f"{where}: expected a list of rows")
-    width = len(rows[0])
-    out = np.zeros((len(rows), width), dtype=complex)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(f"{where}: ragged row {i}")
-        for j, v in enumerate(row):
-            out[i, j] = _uncx(v, f"{where}[{i}][{j}]")
+    out = _pair_array(rows)
+    if out is None:
+        # bare reals, or an entry to refuse: walk the entries and name the offender
+        width = len(rows[0])
+        out = np.zeros((len(rows), width), dtype=complex)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValidationError(f"{where}: ragged row {i}")
+            for j, v in enumerate(row):
+                out[i, j] = _uncx(v, f"{where}[{i}][{j}]")
     if shape is not None and out.shape != shape:
         raise ValidationError(f"{where}: expected shape {shape}, got {out.shape}")
     return out
 
 
-def _matrix_out(M: np.ndarray) -> list[list[list[float]]]:
-    return [[_cx(v) for v in row] for row in np.asarray(M, dtype=complex)]
+def _pair_array(rows: list) -> np.ndarray | None:
+    """The matrix when rows is a regular array of numeric [re, im] pairs, else None.
+
+    The pairs are read through a float64 view as complex, which keeps every
+    pair's bits; re + 1j*im would turn 1 + inf j into nan + inf j and lose
+    the sign of a -0.0 imaginary part.
+    """
+    try:
+        a = np.array(rows)
+    except (ValueError, TypeError, OverflowError):   # ragged or unconvertible
+        return None
+    if a.ndim != 3 or a.shape[2] != 2 or a.dtype.kind not in "fi":
+        return None
+    return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
+
+
+def _matrix_out(M: np.ndarray) -> list:
+    """[re, im] pairs in the shape of M, as Python floats."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack((M.real, M.imag), -1).tolist()
 
 
 def _read(path: str) -> dict:
@@ -74,9 +97,9 @@ def _read(path: str) -> dict:
 
 
 def _write(path: str, data: dict) -> None:
+    # one line through json's C encoder, which json.dump to a file never uses
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data) + "\n")
 
 
 def _require(data: dict, key: str, path: str) -> Any:
@@ -157,13 +180,15 @@ def load_basis(path: str) -> OrthoBasis:
 
 
 def save_basis(basis: OrthoBasis, path: str) -> None:
-    _write(path, {
-        "n_generators": basis.n_generators,
-        "level": basis.level,
-        "coeffs": {str(s): {str(t): _cx(a) for t, a in row.items()}
-                   for s, row in sorted(basis.coeffs.items(),
-                                        key=lambda kv: kv[0].sort_key())},
-    })
+    if basis._coeffs is None:
+        # held as its matrix: row i has the words up to its own, zeros included
+        names = [str(w) for w in basis.words()]
+        P = np.stack((basis._matrix.real, basis._matrix.imag), -1)
+        rows = {s: dict(zip(names, P[i, :i + 1].tolist())) for i, s in enumerate(names)}
+    else:
+        rows = {str(s): {str(t): _cx(a) for t, a in row.items()}
+                for s, row in sorted(basis.coeffs.items(), key=lambda kv: kv[0].sort_key())}
+    _write(path, {"n_generators": basis.n_generators, "level": basis.level, "coeffs": rows})
 
 
 def _block_key(key: str, path: str, section: str) -> tuple[int, int]:
@@ -220,7 +245,7 @@ def save_point(t: OperatorTuple, path: str) -> None:
         "n_generators": t.n_generators,
         "dim": t.dim,
         "region": t.region,
-        "matrices": [_matrix_out(t.mats[k]) for k in range(t.n_generators)],
+        "matrices": _matrix_out(t.mats),
     })
 
 

@@ -66,11 +66,11 @@ class Word:
         if text == "e":
             return cls()
         try:
-            letters = tuple(int(part) for part in text.split("."))
+            letters = tuple(map(int, text.split(".")))
         except ValueError:
             raise ValidationError(f"cannot parse word {text!r}") from None
         w = cls(letters)
-        if n_generators is not None and any(l > n_generators for l in letters):
+        if n_generators is not None and max(letters) > n_generators:
             raise ValidationError(f"word {text!r} uses letters beyond {n_generators} generators")
         return w
 

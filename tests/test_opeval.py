@@ -159,6 +159,36 @@ def test_ball_sandwich_value_within_tail_bound_of_converged_sum(seed, n_gen, dim
     assert gap <= res.tail_bound + 1e-14 * np.linalg.norm(ref, 2)
 
 
+def test_sandwich_a_priori_rule_fires_where_the_lower_bound_is_tight():
+    # T = c I or c Q with Q unitary has ||T||_2 = ||T||_F / sqrt(d), so the
+    # lower bound that defers the 2-norm is tight; with tol the eager a-priori
+    # bound at L = 3 itself, the sum must still stop there with that bound
+    rng = np.random.default_rng(76)
+    r = 0.25
+    for d in (2, 3, 5, 7):
+        mats = np.zeros((2, d, d), dtype=complex)
+        mats[0] = 0.5 * np.eye(d)
+        for c in rng.uniform(0.1, 10.0, 25):
+            Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            for T in (c * np.eye(d, dtype=complex), c * Q):
+                tol = float(np.linalg.norm(T, 2)) * r ** 4 / (1.0 - r)
+                res = opeval._sandwich(mats, mats, T, r, tol, SANDWICH_CAP)
+                assert (res.truncation_length, res.tail_bound) == (3, tol)
+
+
+def test_sandwich_stopped_a_posteriori_takes_no_two_norm(monkeypatch):
+    # a nilpotent point: the terms vanish after length 2, long before the
+    # a-priori bound for a large T falls below tol
+    Z = np.zeros((2, 3, 3), dtype=complex)
+    Z[0, 0, 1], Z[1, 1, 2] = 0.5, 0.4
+    T = 1e3 * np.eye(3)
+    calls = count_linalg(monkeypatch, "norm", "svd")
+    res = ball_sandwich(Z, Z, T, tol=1e-9)
+    assert calls == []
+    assert (res.truncation_length, res.tail_bound) == (3, 1e-9)
+    assert np.array_equal(res.value, prior_sum(Z, Z, T, 3))
+
+
 def test_szego_ball_fast_decay_returns_under_cap():
     # r = 0.9 asks for about 240 levels a priori, past the cap of 64; the
     # terms of a distinct pair at d = 32 decay far faster than r
