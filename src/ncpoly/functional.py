@@ -28,8 +28,9 @@ is then a block gather: block (i, j) is the length-(i + j) moment array
 reshaped to N^i x N^j, its rows permuted by the reversal of the length-i
 words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
 involution checks compare each stored word with its reversal rank by rank.
-The moments of an operator model come one length at a time as one matrix
-product (``_hankel_moments``, shared with ``recurrence.favard``).
+The vectors X_w v of an operator model come from one orbit routine
+(``_orbit``, also behind ``jacobi.JacobiFamily.orbit`` and ``recurrence.favard``),
+their moments one length at a time as one matrix product (``_hankel_moments``).
 
 Moments are validated where they enter from outside: the ``MomentFunctional``
 constructor copies them (``dict`` keeps each key's stored hash; values are
@@ -256,11 +257,13 @@ class GramMatrix:
     words: list[Word]
     entries: np.ndarray
 
-    def index(self, w: Word) -> int:
-        return self._index[w]
+    # word -> row, hashed on the first index() call rather than for every Gram
+    _index = None
 
-    def __post_init__(self):
-        self._index = {w: i for i, w in enumerate(self.words)}
+    def index(self, w: Word) -> int:
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.words)}
+        return self._index[w]
 
     def entry(self, sigma: Word, tau: Word) -> complex:
         return complex(self.entries[self.index(sigma), self.index(tau)])
@@ -331,14 +334,19 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
     at the level when the caller has built it already.
     """
     G = _gram_at(f, level, G)
-    lam = float(np.linalg.eigvalsh(G.entries)[0])
-    threshold = tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
+    lam, threshold = _min_eigenvalue(G, tol)
     if lam > threshold:
         return PositivityResult(ok=True, min_eigenvalue=lam, threshold=threshold)
     vec = np.linalg.eigh(G.entries)[1][:, 0]
     cert = {w: complex(vec[i]) for i, w in enumerate(G.words)}
     return PositivityResult(ok=False, min_eigenvalue=lam, threshold=threshold,
                             certificate=cert)
+
+
+def _min_eigenvalue(G: GramMatrix, tol: float) -> tuple[float, float]:
+    """(lambda_min by one ``eigvalsh``, threshold tol * max(1, largest real diagonal))."""
+    lam = float(np.linalg.eigvalsh(G.entries)[0])
+    return lam, tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
 
 
 def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
@@ -377,12 +385,16 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError("v must be a unit vector")
 
-    # rows X_w v by rank, level by level (X_{k.u} v = X_k X_u v), to half the degree
-    half = (max_degree + 1) // 2
-    vecs = [v[None, :]]
-    for _ in range(half):
-        vecs.append(np.concatenate([vecs[-1] @ X[k].T for k in range(n)]))
+    vecs = _orbit(X, v[None, :], (max_degree + 1) // 2)
     return MomentFunctional._exact_hankel(n, max_degree, *_hankel_moments(vecs, n, max_degree))
+
+
+def _orbit(mats: Sequence[np.ndarray], x_e: np.ndarray, levels: int) -> list[np.ndarray]:
+    """Rows x_w, |w| <= levels, by graded-lex rank per length: x_e, then x_{k.u} = X_k x_u."""
+    vecs = [x_e]
+    for _ in range(levels):
+        vecs.append(np.concatenate([vecs[-1] @ X.T for X in mats]))
+    return vecs
 
 
 def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int

@@ -1,16 +1,18 @@
 """Block Jacobi operators on the truncated word space.
 
 Each generator acts on span{phi_sigma : |sigma| <= L} as a block tridiagonal
-Hermitian matrix assembled from the recurrence blocks: A_{n,k} on the
-diagonal, B_{n,k} below it, B*_{n,k} above. Moments of the truncated family
-against the vacuum e_0 agree with the functional's moments for every word of
-length <= 2L + 1, since a product of L+1 or fewer band matrices cannot move
-e_0 past level L and back in a way that feels the cut.
+Hermitian matrix assembled from the recurrence blocks by ``recurrence._band``
+(shared with ``favard``): A_{n,k} on the diagonal, B_{n,k} below it, B*_{n,k}
+above. Moments of the truncated family against the vacuum e_0 agree with the
+functional's moments for every word of length <= 2L + 1, since a product of
+L+1 or fewer band matrices cannot move e_0 past level L and back in a way
+that feels the cut.
 
 A family is built once and read many times, so it keeps its vacuum orbit:
 the columns J_q e_0 for |q| <= L + 1 and the rows e_0^T J_p for |p| <= L,
-by graded-lex rank. A word sigma = p.b.q then has <J_sigma e_0, e_0> =
-(e_0^T J_p) (J_b (J_q e_0)), with b empty whenever |sigma| <= 2L + 1.
+by graded-lex rank (the columns by ``functional._orbit``). A word sigma =
+p.b.q then has <J_sigma e_0, e_0> = (e_0^T J_p) (J_b (J_q e_0)), with b
+empty whenever |sigma| <= 2L + 1.
 
 ``hamburger_check`` answers the positivity question for a finite moment set:
 a PSD kernel is necessary and sufficient, and strict positivity comes with a
@@ -28,10 +30,10 @@ import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
 from .functional import (SYMMETRY_TOL, MomentFunctional, _complex_moments,
-                         _involution_defect, gram)
+                         _involution_defect, _min_eigenvalue, _orbit, gram)
 from .orthopoly import _cholesky_basis
-from .recurrence import RecurrenceCoeffs, extract
-from .words import EMPTY, Word, level_offsets, rank_groups
+from .recurrence import RecurrenceCoeffs, _band, extract
+from .words import EMPTY, Word, rank_groups
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,12 @@ class JacobiFamily(tuple):
                              dict[tuple[int, ...], np.ndarray]]:
         """(rows, cols) with rows[p.letters] = e_0^T J_p and cols[q.letters] = J_q e_0."""
         N, level, S = len(self), self[0].level, self[0].size
-        e0 = np.zeros((1, S), dtype=complex)
-        e0[0, 0] = 1.0
+        e0 = np.eye(1, S, dtype=complex)
         # R_{p.k} = R_p J_k sits at rank(p) N + k - 1; C_{k.q} = J_k C_q at (k - 1) N^n + rank(q)
-        rows, cols = [e0], [e0]
+        rows = [e0]
         for _ in range(level):
             rows.append(np.stack([rows[-1] @ J.matrix for J in self], axis=1).reshape(-1, S))
-        for _ in range(level + 1):
-            cols.append(np.concatenate([cols[-1] @ J.matrix.T for J in self]))
+        cols = _orbit([J.matrix for J in self], e0, level + 1)
         # key each rank's vector by its letters, so a lookup also rejects a foreign letter
         return tuple({key: vec for n, arr in enumerate(stack) for key, vec in
                       zip(product(range(1, N + 1), repeat=n), arr)}
@@ -104,20 +104,8 @@ def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
         raise ValidationError(
             f"need recurrence blocks to level {level + 1}, have {coeffs.levels}")
     N = coeffs.n_generators
-    offs = level_offsets(N, level)
-    S = offs[level + 1]
-    out = []
-    for k in range(1, N + 1):
-        J = np.zeros((S, S), dtype=complex)
-        for n in range(level + 1):
-            a = coeffs.A[n, k]
-            J[offs[n]:offs[n + 1], offs[n]:offs[n + 1]] = (a + a.conj().T) / 2.0
-        for n in range(level):
-            b = coeffs.B[n, k]
-            J[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = b
-            J[offs[n]:offs[n + 1], offs[n + 1]:offs[n + 2]] = b.conj().T
-        out.append(BlockJacobi(generator=k, level=level, n_generators=N, matrix=J))
-    return JacobiFamily(out)
+    return JacobiFamily(BlockJacobi(generator=k, level=level, n_generators=N, matrix=J)
+                        for k, J in enumerate(_band(coeffs, level), 1))
 
 
 def word_apply(family: Sequence[BlockJacobi], sigma, v: np.ndarray) -> np.ndarray:
@@ -211,9 +199,7 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     top = max(ranks[0])
     f = MomentFunctional._exact_hankel(n_generators, top, vals, ranks=ranks)
     G = gram(f, level)
-    eig = np.linalg.eigvalsh(G.entries)
-    lam = float(eig[0])
-    thr = tol * max(1.0, float(np.max(np.abs(np.diag(G.entries)).real)))
+    lam, thr = _min_eigenvalue(G, tol)
     if lam < -thr:
         vecs = np.linalg.eigh(G.entries)[1]
         cert = {w: complex(vecs[i, 0]) for i, w in enumerate(G.words)

@@ -9,10 +9,13 @@ level-coupling blocks B stacking to an upper triangular invertible matrix
 B_n = [B_{n,1} ... B_{n,N}] whose diagonal entry at word k.sigma equals
 a_{sigma,sigma} / a_{k.sigma,k.sigma} > 0.
 
-``extract`` reads the blocks off a basis by inner products; ``favard`` goes
-the other way, rebuilding the basis and a moment functional from the blocks
-alone. Both directions carry runtime checks (symmetry, triangularity,
-residual of the recurrence as a polynomial identity).
+``extract`` reads the blocks off a basis by inner products. ``favard`` goes
+the other way: in the block Jacobi model (``_band``, shared with
+``jacobi.build``) the monomial Y_w 1 has orthonormal coordinates J_w e_0, so
+the column orbit M = [J_w e_0] is lower triangular, the basis is M^-1 and the
+moments are inner products of its columns. Both directions carry runtime
+checks (symmetry, triangularity, residual of the recurrence as a polynomial
+identity).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments
+from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments, _orbit
 from .orthopoly import OrthoBasis
 from .words import level_offsets, shift_map, word_at
 
@@ -58,9 +61,6 @@ class RecurrenceCoeffs:
     def b_block(self, n: int) -> np.ndarray:
         """Assembled B_n, columns ordered by the word k.sigma (graded-lex)."""
         return np.hstack([self.B[n, k] for k in range(1, self.n_generators + 1)])
-
-    def a_block(self, n: int) -> np.ndarray:
-        return np.hstack([self.A[n, k] for k in range(1, self.n_generators + 1)])
 
     def validate(self, cond_bound: float = COND_BOUND) -> None:
         """Reject non-Hermitian A, non-triangular/ill-conditioned B, bad diagonal."""
@@ -179,51 +179,47 @@ def _residual(A_coef: np.ndarray, coeffs: RecurrenceCoeffs) -> float:
     return worst
 
 
+def _band(coeffs: RecurrenceCoeffs, level: int) -> list[np.ndarray]:
+    """The block Jacobi matrices J_1..J_N on words of length <= level.
+
+    Diagonal blocks A_{n,k}, symmetrized, for the n <= level that ``coeffs``
+    has (the rest stay zero); B_{n,k} below and B*_{n,k} above.
+    """
+    N = coeffs.n_generators
+    offs = level_offsets(N, level)
+    S = offs[level + 1]
+    out = []
+    for k in range(1, N + 1):
+        J = np.zeros((S, S), dtype=complex)
+        for n in range(min(level + 1, coeffs.levels)):
+            a = coeffs.A[n, k]
+            J[offs[n]:offs[n + 1], offs[n]:offs[n + 1]] = (a + a.conj().T) / 2.0
+        for n in range(level):
+            b = coeffs.B[n, k]
+            J[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = b
+            J[offs[n]:offs[n + 1], offs[n + 1]:offs[n + 2]] = b.conj().T
+        out.append(J)
+    return out
+
+
 def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
            cond_bound: float = COND_BOUND) -> tuple[OrthoBasis, MomentFunctional]:
     """Rebuild the orthonormal family and its moment functional from blocks.
 
-    Solving the recurrence for Phi_{l+1} gives
-
-        Phi_{l+1} = sum_j (Y_j Phi_l) D_{l,j} - Phi_l E_l - Phi_{l-1} F_l
-
-    with [D_{l,1}; ...; D_{l,N}] = B_l^{-1}, E_l = A_l B_l^{-1} and
-    F_l = [B*_{l-1,1} ... B*_{l-1,N}] B_l^{-1}. The functional is fixed by
-    phi(1) = 1 and phi(phi_sigma) = 0, which determines moments through word
-    length levels directly and through 2*levels via the kernel factorization
-    over the orthonormal expansion of the monomials.
+    The basis is M^-1 for the column orbit M = [J_w e_0], |w| <= levels, by
+    graded-lex rank; the moments to length 2*levels are <J_q e_0, J_{I(p)} e_0>.
     """
     L = coeffs.levels if levels is None else levels
     if L < 1 or L > coeffs.levels:
         raise ValidationError(f"levels must be in 1..{coeffs.levels}")
     coeffs.validate(cond_bound)
     N = coeffs.n_generators
-    offs = level_offsets(N, L)
-    W = offs[L + 1]
-    kmaps = shift_map(N, L)
-
-    A_full = np.zeros((W, W), dtype=complex)
-    A_full[0, 0] = 1.0
-    for l in range(L):
-        C_l = A_full[offs[l]:offs[l + 1], :]
-        Binv = np.linalg.inv(coeffs.b_block(l))
-        E = coeffs.a_block(l) @ Binv
-        nxt = np.zeros((N ** (l + 1), W), dtype=complex)
-        for j in range(1, N + 1):
-            D_lj = Binv[(j - 1) * N**l: j * N**l, :]
-            nxt += D_lj.T @ _shift_rows(C_l, kmaps[j - 1])
-        nxt -= E.T @ C_l
-        if l >= 1:
-            C_lm1 = A_full[offs[l - 1]:offs[l], :]
-            Cstack = np.hstack([coeffs.B[l - 1, j].conj().T for j in range(1, N + 1)])
-            F = Cstack @ Binv
-            nxt -= F.T @ C_lm1
-        A_full[offs[l + 1]:offs[l + 2], :] = nxt
-
-    basis = OrthoBasis._from_matrix(N, L, A_full)
-    # row w of inv(A_full) holds the monomial F_w in the orthonormal family, so
-    # s_{p.q} = <F_q, F_{I(p)}> is the inner product of two rows
-    Binv_full = np.linalg.inv(A_full)
-    rows = [Binv_full[offs[n]:offs[n + 1]] for n in range(L + 1)]
-    f = MomentFunctional._exact_hankel(N, 2 * L, *_hankel_moments(rows, N, 2 * L))
-    return basis, f
+    # a level-n < L column has no level-L part, so A_L (absent when L is
+    # coeffs.levels) is never read
+    mats = _band(coeffs, L)
+    cols = _orbit(mats, np.eye(1, len(mats[0]), dtype=complex), L)
+    # LU of the upper triangular M^T swaps no rows, so row 0 stays exactly e_0
+    A = np.linalg.inv(np.concatenate(cols).T).T
+    np.fill_diagonal(A, A.diagonal().real)
+    f = MomentFunctional._exact_hankel(N, 2 * L, *_hankel_moments(cols, N, 2 * L))
+    return OrthoBasis._from_matrix(N, L, A), f

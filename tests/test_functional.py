@@ -186,6 +186,16 @@ def test_strict_positivity_rejects_and_certifies():
         require_strict_positivity(f, 1)
 
 
+def test_gram_hashes_its_words_on_first_index():
+    f = from_representation(*random_representation(np.random.default_rng(5), 2, 8), max_degree=4)
+    G = gram(f, 2)
+    assert "_index" not in vars(G)
+    ws = words_up_to(2, 2)
+    assert [G.index(w) for w in ws] == list(range(len(ws)))
+    assert G.entry(ws[1], ws[4]) == complex(G.entries[1, 4])
+    assert "_index" in vars(G)
+
+
 def test_strict_positivity_takes_eigenvectors_only_to_refuse(monkeypatch):
     mats, v = random_representation(np.random.default_rng(4), 2, 16)
     f = from_representation(mats, v, max_degree=4)

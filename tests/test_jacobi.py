@@ -18,7 +18,7 @@ from ncpoly.orthopoly import orthogonalize
 from ncpoly.recurrence import extract
 from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
 
-from test_functional import random_representation
+from test_functional import count_linalg, random_representation
 from test_recurrence import hankel_n1, scalar_blocks
 
 
@@ -172,6 +172,16 @@ def test_strict_hamburger_decomposes_the_gram_once(monkeypatch):
     res = hamburger_check(f.moments, 2, 2)
     assert res.strictly_positive and res.witness is not None
     assert len(calls) == 1
+
+
+def test_positive_but_not_strict_hamburger_takes_no_eigenvectors(monkeypatch):
+    # d = 100 is below the 127 words of length <= 6: the Gram is singular PSD
+    mats, v = random_representation(np.random.default_rng(47), 2, 100)
+    f = from_representation(mats, v, max_degree=12)
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    res = hamburger_check(f.moments, 2, 6)
+    assert res.positive and not res.strictly_positive and res.witness is None
+    assert calls == ["eigvalsh"]
 
 
 def test_hamburger_agrees_with_strict_positivity():

@@ -5,11 +5,12 @@ from oracles import gaussian_moments, tridiag_moments
 
 from ncpoly.errors import ValidationError
 from ncpoly.functional import MomentFunctional, from_representation, gram
+from ncpoly.jacobi import hamburger_check
 from ncpoly.orthopoly import orthogonalize, orthonormality_residual
 from ncpoly.recurrence import RecurrenceCoeffs, extract, favard, residual_check
 from ncpoly.words import EMPTY, Word, words_up_to
 
-from test_functional import random_representation
+from test_functional import count_linalg, random_representation
 
 
 def hankel_n1(values):
@@ -106,6 +107,38 @@ def test_favard_moment_symmetry():
     for w in words_up_to(4, 2):
         rev = Word(tuple(reversed(w.letters))) if len(w) else EMPTY
         assert f2.moment(rev) == np.conj(f2.moment(w))
+
+
+@pytest.mark.parametrize("N, level", [(1, 5), (2, 3), (3, 2)])
+def test_favard_basis_starts_at_e0_with_a_real_positive_diagonal(monkeypatch, N, level):
+    calls = count_linalg(monkeypatch, "inv")
+    dim = len(words_up_to(level, N)) + 4
+    for seed in range(10):
+        mats, v = random_representation(np.random.default_rng([70, seed]), N, dim)
+        f = from_representation(mats, v, max_degree=2 * level)
+        witness = hamburger_check(f.moments, N, level).witness
+        calls.clear()
+        A = favard(witness)[0].matrix()
+        assert calls == ["inv"]
+        e0 = np.zeros(len(A), dtype=complex)
+        e0[0] = 1.0
+        assert np.array_equal(A[0], e0)
+        assert np.all(np.diag(A).imag == 0.0) and np.all(np.diag(A).real > 0)
+
+
+def unit_radius_representation(rng, n_gen, dim):
+    """random_representation scaled so each matrix has spectral radius 1."""
+    mats, v = random_representation(rng, n_gen, dim)
+    return mats / np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)[:, None, None], v
+
+
+def test_favard_moments_at_level_7_are_as_accurate_as_the_representation():
+    mats, v = unit_radius_representation(np.random.default_rng(71), 2, 300)
+    f = from_representation(mats, v, max_degree=14)
+    _, back = favard(hamburger_check(f.moments, 2, 7).witness)
+    scale = max(abs(s) for s in f.moments.values())
+    gap = max(abs(back.moments[w] - s) for w, s in f.moments.items())
+    assert gap <= 2e-15 * scale
 
 
 def test_favard_rejects_non_hermitian_a():
