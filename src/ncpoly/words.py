@@ -22,7 +22,11 @@ holds the tables of its words, and while it lives ``enumerate_level``,
 constructing words again. The cache refers to a table only weakly, so the
 words go when the last holder goes and the library keeps nothing of its
 own; with nothing held, every call builds its words afresh. A shared word is
-an ordinary ``Word``: equal to, and hashing like, one built by hand.
+an ordinary ``Word``: equal to, and hashing like, one built by hand. The
+library generates its letters (``itertools.product`` over 1..N), so a table
+builds its words without re-checking them, as ``Word.parse`` does once its
+own checks pass; ``Word(...)`` and ``Word.of`` check and normalize every
+other word.
 
 Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 """
@@ -69,10 +73,11 @@ class Word:
             letters = tuple(map(int, text.split(".")))
         except ValueError:
             raise ValidationError(f"cannot parse word {text!r}") from None
-        w = cls(letters)
+        if min(letters) < 1:
+            raise ValidationError(f"letters must be >= 1, got {letters}")
         if n_generators is not None and max(letters) > n_generators:
             raise ValidationError(f"word {text!r} uses letters beyond {n_generators} generators")
-        return w
+        return _word(letters)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -103,6 +108,17 @@ class Word:
 
 
 EMPTY = Word()
+
+
+def _word(letters: tuple[int, ...]) -> Word:
+    """A ``Word`` of letters the library made: an exact tuple of ints >= 1.
+
+    The letters are not checked again; the result is an ordinary frozen
+    ``Word``, equal to, hashing, ordering and pickling like ``Word(letters)``.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def involution(w: Word) -> Word:
@@ -157,8 +173,10 @@ _BUILD = threading.Lock()
 def _table(n: int, n_generators: int) -> _Table:
     """The shared words of length n, lexicographically.
 
-    A table is built through ``Word`` when no live one exists, under a lock,
-    and published complete, so concurrent first calls read one table and a
+    A table is built when no live one exists, under a lock, from the letters
+    of ``itertools.product`` through ``_word``, which does not re-check them
+    (``Word(...)`` checks every word the library did not generate). It is
+    published complete, so concurrent first calls read one table and a
     failed build publishes none. It lives as long as a caller holds the
     returned object.
     """
@@ -170,8 +188,8 @@ def _table(n: int, n_generators: int) -> _Table:
         with _BUILD:
             table = _TABLES.get(key)
             if table is None:
-                table = _Table(tuple(Word(p) for p in
-                                     itertools.product(range(1, n_generators + 1), repeat=n)))
+                table = _Table(tuple(map(_word, itertools.product(
+                    range(1, n_generators + 1), repeat=n))))
                 _TABLES[key] = table
     return table
 

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import pickle
 import sys
 import threading
 
@@ -149,13 +151,18 @@ def test_word_normalizes_letters_as_before(letters):
 def counted_words(monkeypatch):
     """Empty word tables and a list of every Word constructed from here on."""
     calls = []
-    init = Word.__post_init__
+    init, make = Word.__post_init__, words_mod._word
 
     def counted(self):
         calls.append(self)
         init(self)
 
+    def counted_make(letters):
+        calls.append(letters)
+        return make(letters)
+
     monkeypatch.setattr(Word, "__post_init__", counted)
+    monkeypatch.setattr(words_mod, "_word", counted_make)
     monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
     return calls
 
@@ -229,18 +236,18 @@ def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
 
 def test_a_failed_build_publishes_no_table(monkeypatch):
     monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
-    init = Word.__post_init__
+    make = words_mod._word
 
-    def fail_late(self):
-        if self.letters == (2, 2):
+    def fail_late(letters):
+        if letters == (2, 2):
             raise RuntimeError("interrupted")
-        init(self)
+        return make(letters)
 
-    monkeypatch.setattr(Word, "__post_init__", fail_late)
+    monkeypatch.setattr(words_mod, "_word", fail_late)
     with pytest.raises(RuntimeError):
         enumerate_level(2, 2)
     assert len(words_mod._TABLES) == 0
-    monkeypatch.setattr(Word, "__post_init__", init)
+    monkeypatch.setattr(words_mod, "_word", make)
     assert enumerate_level(2, 2) == [Word.of(1, 1), Word.of(1, 2), Word.of(2, 1), Word.of(2, 2)]
 
 
@@ -282,3 +289,79 @@ def test_shared_words_are_ordinary_words():
     f = from_representation(mats, np.array([1.0, 0.0]), max_degree=3)
     assert f.moment(Word.of(1, 1)) == 1.0
     assert f.moment(Word.parse("2.1.2")) == f.moments[table[-3]]
+
+
+def test_a_moment_pipeline_checks_no_word(monkeypatch):
+    checked = []
+    init = Word.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        init(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
+    rng = np.random.default_rng(11)
+    mats = rng.standard_normal((2, 8, 8))
+    mats = mats + mats.transpose(0, 2, 1)
+    f = from_representation(mats, np.ones(8) / np.sqrt(8), 4)
+    res = hamburger_check(f.moments, 2, 2)
+    _, f2 = favard(res.witness)
+    assert len(f2.moments) == len(f.moments) == 31
+    # every word of the pipeline comes from a shared table
+    assert checked == []
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_shared_words_match_words_built_by_hand(N):
+    shared = words_up_to(4, N)
+    hand = [Word(list(w.letters)) for w in shared]
+    for i, (w, h) in enumerate(zip(shared, hand)):
+        assert type(w) is Word and type(w.letters) is tuple
+        assert all(type(l) is int for l in w.letters)
+        assert w == h and hash(w) == hash(h) and repr(w) == repr(h)
+        assert pickle.dumps(w) == pickle.dumps(h)
+        back = pickle.loads(pickle.dumps(w))
+        assert type(back) is Word and back == h and hash(back) == hash(h)
+        assert dataclasses.replace(w) == h
+        assert dataclasses.replace(w, letters=[N]) == Word.of(N)
+        if i:
+            assert shared[i - 1] < w and hand[i - 1] < w and shared[i - 1] < h
+            assert not w < shared[i - 1] and not h < shared[i - 1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.letters = (1,)
+        assert w == h
+
+
+def old_parse(text, n_generators=None):
+    """``Word.parse`` as it read when every parsed word went through ``Word(...)``."""
+    text = text.strip()
+    if text == "e":
+        return Word()
+    try:
+        letters = tuple(map(int, text.split(".")))
+    except ValueError:
+        raise ValidationError(f"cannot parse word {text!r}") from None
+    w = Word(letters)
+    if n_generators is not None and max(letters) > n_generators:
+        raise ValidationError(f"word {text!r} uses letters beyond {n_generators} generators")
+    return w
+
+
+DOTTED = st.one_of(st.just("e"), st.lists(st.integers(-1, 4), max_size=5).map(
+    lambda ls: ".".join(map(str, ls))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(DOTTED, st.one_of(st.none(), st.integers(1, 3)))
+def test_parse_accepts_and_refuses_as_before(text, n_generators):
+    try:
+        want = old_parse(text, n_generators)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            Word.parse(text, n_generators)
+        assert str(got.value) == str(exc)
+        return
+    w = Word.parse(text, n_generators)
+    assert type(w) is Word and w == want and hash(w) == hash(want)
+    assert all(type(l) is int for l in w.letters)
