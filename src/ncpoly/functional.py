@@ -34,10 +34,11 @@ their moments one length at a time as one matrix product (``_hankel_moments``).
 
 Moments are validated where they enter from outside: the ``MomentFunctional``
 constructor copies them (``dict`` keeps each key's stored hash; values are
-made complex only when some value is not one) and checks s_e = 1 and, for
-the hankel kind, every involution partner and the symmetry
-s_{I(w)} = conj(s_w) within ``SYMMETRY_TOL`` (``_involution_defect``); the
-loaders in ``serialize`` go through it. ``jacobi.hamburger_check`` makes the
+made complex only when some value is not one) and checks s_e = 1, that every
+moment is finite and, for the hankel kind, every involution partner and the
+symmetry s_{I(w)} = conj(s_w) within ``SYMMETRY_TOL`` (``_involution_defect``,
+which also reads finiteness from its one value array); the loaders in
+``serialize`` go through it. ``jacobi.hamburger_check`` makes the
 same copy and runs the same check itself, from one rank read that its Gram
 reuses. ``from_representation`` and ``recurrence.favard`` make their moments
 exact by construction, so they build their functional through
@@ -102,6 +103,17 @@ def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int,
     return out
 
 
+def _require_finite(moments: dict[Word, complex], vals: np.ndarray) -> None:
+    """Refuse a non-finite moment, naming the first such word in graded-lex order.
+
+    ``vals`` holds the values of ``moments`` in its order.
+    """
+    finite = np.isfinite(vals)
+    if not finite.all():
+        w = min(w for w, ok in zip(moments, finite) if not ok)
+        raise ValidationError(f"moment at {w} is not finite ({moments[w]})")
+
+
 def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: float,
                        ranks: tuple | None = None) -> tuple[str, Word, Word] | None:
     """First stored word w whose partner I(w) breaks s_{I(w)} = conj(s_w).
@@ -109,8 +121,15 @@ def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: flo
     Returns None, ("missing", w, I(w)) when the partner is not stored, or
     ("asymmetric", w, I(w)) when |s_{I(w)} - conj(s_w)| exceeds tol times
     max(1, max |s|); w is the first such word in graded-lex order. A word
-    with a letter beyond n_generators raises ValidationError. ``ranks`` is
-    ``rank_groups(moments, n_generators)`` when already read.
+    with a letter beyond n_generators, and then a non-finite moment, raise
+    ValidationError. ``ranks`` is ``rank_groups(moments, n_generators)``
+    when already read.
+
+    The words of a dict are distinct, so a length whose rank group holds
+    N^n words holds the whole level, as every dict the library builds does:
+    there each word's partner is read through the inverse of the rank
+    permutation. A partial level is matched by sorting its ranks, which
+    allocates nothing of size N^n for a sparse dict with one long word.
     """
     N = n_generators
     groups, foreign = rank_groups(moments, N) if ranks is None else ranks
@@ -118,12 +137,19 @@ def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: flo
         w = list(moments)[foreign[0]]
         raise ValidationError(f"word {w} uses letters beyond {N} generators")
     vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
-    scale = float(np.nanmax(np.abs(vals), initial=1.0))
+    _require_finite(moments, vals)
+    scale = float(np.max(np.abs(vals), initial=1.0))
     for n in sorted(groups):
         pos, ranks, rev = groups[n]
-        order = np.argsort(ranks)
-        partner = order[np.searchsorted(ranks[order], rev).clip(max=len(order) - 1)]
-        found = ranks[partner] == rev
+        if len(ranks) == N**n:
+            inv = np.empty(len(ranks), dtype=np.int64)
+            inv[ranks] = np.arange(len(ranks))
+            partner = inv[rev]
+            found = np.ones(len(ranks), dtype=bool)
+        else:
+            order = np.argsort(ranks)
+            partner = order[np.searchsorted(ranks[order], rev).clip(max=len(order) - 1)]
+            found = ranks[partner] == rev
         v = vals[pos]
         bad = ~found | (np.abs(v[partner] - np.conj(v)) > tol * scale)
         if bad.any():
@@ -165,7 +191,10 @@ class MomentFunctional:
         s_e = self.moments.get(EMPTY)
         if s_e is None or abs(s_e - 1.0) > 1e-9:
             raise ValidationError("functional must be unital: moment at 'e' must be 1")
-        if self.kind == "hankel" and not exact:
+        if self.kind != "hankel":
+            _require_finite(self.moments, np.fromiter(
+                self.moments.values(), dtype=complex, count=len(self.moments)))
+        elif not exact:  # the involution check refuses a non-finite moment itself
             defect = _involution_defect(self.moments, self.n_generators, SYMMETRY_TOL)
             if defect is not None:
                 what, w, rev = defect
@@ -376,13 +405,15 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
         raise ValidationError("mats must have shape (N, d, d)")
     n, d, _ = X.shape
     for k in range(n):
+        if not np.isfinite(X[k]).all():
+            raise ValidationError(f"matrix {k + 1} has a non-finite entry")
         dev = np.max(np.abs(X[k] - X[k].conj().T))
         if dev > atol * (1.0 + np.max(np.abs(X[k]))):
             raise ValidationError(f"matrix {k + 1} is not Hermitian (deviation {dev:.3e})")
         X[k] = (X[k] + X[k].conj().T) / 2.0
     v = np.asarray(v, dtype=complex).reshape(d)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm is refused too
         raise ValidationError("v must be a unit vector")
 
     vecs = _orbit(X, v[None, :], (max_degree + 1) // 2)

@@ -63,20 +63,24 @@ class RecurrenceCoeffs:
         return np.hstack([self.B[n, k] for k in range(1, self.n_generators + 1)])
 
     def validate(self, cond_bound: float = COND_BOUND) -> None:
-        """Reject non-Hermitian A, non-triangular/ill-conditioned B, bad diagonal."""
+        """Reject non-finite blocks, non-Hermitian A, non-triangular/ill-conditioned B,
+        and a bad diagonal."""
         N = self.n_generators
         for n in range(self.levels):
             for k in range(1, N + 1):
                 a = self.A[n, k]
+                for name, block in (("A", a), ("B", self.B[n, k])):
+                    if not np.isfinite(block).all():
+                        raise ValidationError(
+                            f"{name} block (n={n}, k={k}) has a non-finite entry")
                 if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
                     raise ValidationError(f"A block (n={n}, k={k}) is not Hermitian")
             Bn = self.b_block(n)
-            m = Bn.shape[0]
             scale = max(1.0, float(np.max(np.abs(Bn))))
-            rows, cols = np.tril_indices(m, k=-1)
-            bad = np.abs(Bn[rows, cols]) > HERMITICITY_TOL * scale
-            if np.any(bad):
-                j = int(cols[bad][0])
+            # nonzero walks row-major: cols[0] is the first offending entry in row order
+            _, cols = np.nonzero(np.abs(np.tril(Bn, -1)) > HERMITICITY_TOL * scale)
+            if cols.size:
+                j = int(cols[0])
                 raise ValidationError(
                     f"B_{n} not upper triangular (offending block n={n}, k={j // N**n + 1})")
             dg = np.diag(Bn)

@@ -307,3 +307,34 @@ def test_exact_construction_keeps_the_field_checks():
             MomentFunctional._exact_hankel(*args)
     f = MomentFunctional._exact_hankel(1, 0, ok)
     assert f.moments is ok and not hasattr(f, "_exact")
+
+
+@pytest.mark.parametrize("kind", ["hankel", "toeplitz", "generic"])
+def test_constructor_refuses_a_non_finite_moment(kind):
+    # in insertion order 1.1 comes first; in graded-lex order 2 does
+    moments = {EMPTY: 1.0, Word((1, 1)): complex("inf"), Word((2,)): complex("nan"),
+               Word((1,)): 0.0}
+    with pytest.raises(ValidationError, match=r"moment at 2 is not finite"):
+        MomentFunctional(n_generators=2, kind=kind, max_degree=2, moments=moments,
+                         kernel={} if kind == "generic" else None)
+
+
+@pytest.mark.parametrize("where", ["off-diagonal nan", "diagonal inf", "off-diagonal inf"])
+def test_from_representation_refuses_non_finite_matrices(where):
+    mats, v = random_representation(np.random.default_rng(49), 2, 4)
+    if where == "off-diagonal nan":
+        mats[1, 0, 2] = mats[1, 2, 0] = complex("nan")
+    elif where == "diagonal inf":
+        mats[1, 3, 3] = float("inf")
+    else:
+        mats[1, 0, 1] = float("inf")  # its mirror stays finite
+    with pytest.raises(ValidationError, match="matrix 2 has a non-finite entry"):
+        from_representation(mats, v, max_degree=2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_from_representation_refuses_a_non_finite_vector(bad):
+    mats, v = random_representation(np.random.default_rng(50), 2, 4)
+    v[1] = bad
+    with pytest.raises(ValidationError, match="unit vector"):
+        from_representation(mats, v, max_degree=2)

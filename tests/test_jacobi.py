@@ -284,3 +284,12 @@ def test_hamburger_refusals_keep_their_order():
         hamburger_check({Word((1,)): 0.0j}, 1, 1)
     with pytest.raises(ValidationError, match="unital"):
         hamburger_check({EMPTY: 2.0, Word((1,)): 0.0j}, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_hamburger_refuses_a_non_finite_moment(bad):
+    # an input error, named before the involution check reads the values
+    with pytest.raises(ValidationError, match=r"moment at 1 is not finite"):
+        hamburger_check({"e": 1, "1": bad, "1.1": 1}, 1, 1)
+    with pytest.raises(ValidationError, match=r"moment at 1\.2 is not finite"):
+        hamburger_check({"e": 1, "1": 0, "2": 0, "1.2": bad, "2.1": 0.5}, 2, 1)

@@ -1,6 +1,8 @@
 """The rank core: graded-lex index arithmetic, block-gathered Gram matrices,
 one-product moments, vectorized symmetry checks, and one Gram per pipeline."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from ncpoly import functional, jacobi, orthopoly, recurrence, words
 from ncpoly.errors import DataIncompleteError, ValidationError
-from ncpoly.functional import (MomentFunctional, from_representation, gram,
-                               kernel_entry)
+from ncpoly.functional import (SYMMETRY_TOL, MomentFunctional, _involution_defect,
+                               from_representation, gram, kernel_entry)
 from ncpoly.jacobi import hamburger_check
 from ncpoly.orthopoly import szego_recursion
 from ncpoly.recurrence import favard
@@ -82,6 +84,32 @@ def test_rank_tables_match_word_operations():
         for k in range(1, N + 1):
             assert kmap[k - 1].tolist() == [global_index(Word((k,) + u.letters), N)
                                             for u in short]
+
+
+@pytest.mark.parametrize("table,args", [(reversal, (5, 2)), (reversal, (3, 3)),
+                                        (shift_map, (2, 4)), (shift_map, (3, 2))])
+def test_rank_tables_are_built_once_and_read_only(table, args):
+    perm = table(*args)
+    assert table(*args) is perm
+    with pytest.raises(ValueError, match="read-only"):
+        perm[..., 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        perm += 1
+
+
+@pytest.mark.parametrize("n_gen,level,dim", [(2, 2, 12), (1, 6, 10)])
+def test_a_second_pipeline_builds_no_rank_table(n_gen, level, dim):
+    def pipeline(seed):
+        mats, v = random_representation(np.random.default_rng(seed), n_gen, dim)
+        f = from_representation(mats, v, max_degree=2 * level)
+        res = hamburger_check(f.moments, n_gen, level)
+        assert res.strictly_positive
+        favard(res.witness)
+
+    pipeline(17)
+    built = reversal.cache_info().misses, shift_map.cache_info().misses
+    pipeline(18)
+    assert (reversal.cache_info().misses, shift_map.cache_info().misses) == built
 
 
 def test_rank_groups_reads_letters():
@@ -315,3 +343,68 @@ def test_hamburger_agrees_on_shared_and_fresh_words(n_gen, level, dim, edit):
 
 def test_hamburger_and_the_constructor_share_one_symmetry_tolerance():
     assert jacobi.SYMMETRY_TOL is functional.SYMMETRY_TOL
+
+
+def reference_defect(moments, n_gen, tol):
+    """Word-by-word involution check: the reference for ``_involution_defect``."""
+    for w in moments:
+        if any(letter > n_gen for letter in w.letters):
+            raise ValidationError(f"word {w} uses letters beyond {n_gen} generators")
+    nonfinite = [w for w, s in moments.items() if not cmath.isfinite(s)]
+    if nonfinite:
+        w = min(nonfinite)
+        raise ValidationError(f"moment at {w} is not finite ({moments[w]})")
+    scale = max([1.0] + [abs(s) for s in moments.values()])
+    for w in sorted(moments):
+        rev = involution(w)
+        if rev not in moments:
+            return ("missing", w, rev)
+        if abs(moments[rev] - moments[w].conjugate()) > tol * scale:
+            return ("asymmetric", w, rev)
+    return None
+
+
+def defect_outcome(check, moments, n_gen):
+    try:
+        return check(moments, n_gen, SYMMETRY_TOL)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_gen=st.integers(1, 3), top=st.integers(0, 4),
+       shuffled=st.booleans(), dropped=st.integers(0, 3), perturbed=st.integers(0, 2),
+       long_word=st.sampled_from((None, "paired", "alone")),
+       foreign=st.sampled_from((False, False, False, True)),
+       nonfinite=st.sampled_from((None, None, None, complex("nan"), complex("inf"))))
+def test_involution_defect_matches_the_word_reference(seed, n_gen, top, shuffled, dropped,
+                                                      perturbed, long_word, foreign,
+                                                      nonfinite):
+    rng = np.random.default_rng(seed)
+    # live shared tables, so an unshuffled dict is ranked by position
+    tables = [words._table(n, n_gen) for n in range(top + 1)]
+    base = random_hankel(rng, n_gen, top)
+    keys = words_up_to(top, n_gen)
+    for _ in range(min(dropped, len(keys) - 1)):
+        keys.pop(int(rng.integers(len(keys))))  # a partial level, maybe a missing partner
+    if long_word is not None:
+        w = Word(tuple(rng.integers(1, n_gen + 1, size=top + 2).tolist()))
+        base[w] = base[involution(w)] = complex(rng.standard_normal())
+        keys += [w, involution(w)] if long_word == "paired" else [w]
+    if foreign:
+        letters = rng.integers(1, n_gen + 2, size=int(rng.integers(1, top + 2)))
+        letters[rng.integers(len(letters))] = n_gen + 1
+        w = Word(tuple(letters.tolist()))
+        base[w] = 0.25 + 0j
+        keys.insert(int(rng.integers(len(keys) + 1)), w)
+    if shuffled:
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+    moments = {w: complex(base[w]) for w in keys}
+    for _ in range(perturbed):
+        w = keys[int(rng.integers(len(keys)))]
+        moments[w] *= 1 + 1e-3j  # breaks the pair, or makes a palindrome's value complex
+    if nonfinite is not None:
+        moments[keys[int(rng.integers(len(keys)))]] = nonfinite
+    got = defect_outcome(_involution_defect, moments, n_gen)
+    assert got == defect_outcome(reference_defect, moments, n_gen)
+    assert len(tables) == top + 1  # the tables stay live through the check

@@ -199,3 +199,26 @@ def test_b_diagonal_identity():
             tail = Word(w.letters[1:]) if len(w) > 1 else EMPTY
             ratio = basis.leading(tail) / basis.leading(w)
             assert abs(Bn[j, j] - ratio) < 1e-9
+
+
+@pytest.mark.parametrize("block", ["A", "B"])
+def test_favard_refuses_non_finite_blocks(block):
+    a_vals, b_vals = [0.0, 0.0], [1.0, 1.0]
+    (a_vals if block == "A" else b_vals)[1] = float("nan")
+    # the container takes any values (the file round trip keeps them); validate refuses
+    coeffs = scalar_blocks(1, a_vals, b_vals)
+    with pytest.raises(ValidationError, match=f"{block} block \\(n=1, k=1\\) has a non-finite"):
+        favard(coeffs)
+
+
+@pytest.mark.parametrize("k,row,col", [(1, 2, 1), (1, 3, 0), (2, 3, 0)])
+def test_nontriangular_b_names_the_block_at_a_later_level(k, row, col):
+    # B_n = I at n = 0, 1 for N = 2; one entry of B_{1,k} lands below the diagonal of B_1
+    A = {(n, j): np.zeros((2**n, 2**n), dtype=complex) for n in range(2) for j in (1, 2)}
+    B = {(n, j): np.eye(2 ** (n + 1), dtype=complex)[:, (j - 1) * 2**n:j * 2**n]
+         for n in range(2) for j in (1, 2)}
+    B[1, k][row, col] = 0.5
+    bad = RecurrenceCoeffs(n_generators=2, levels=2, A=A, B=B)
+    with pytest.raises(ValidationError,
+                       match=rf"B_1 not upper triangular \(offending block n=1, k={k}\)"):
+        favard(bad)
