@@ -207,6 +207,11 @@ class MomentFunctional:
             if self.kernel is None:
                 raise ValidationError("generic kind requires a kernel table")
             self.kernel = {k: complex(v) for k, v in self.kernel.items()}
+            bad = [k for k, v in self.kernel.items() if not np.isfinite(v)]
+            if bad:
+                s, t = min(bad)
+                raise ValidationError(f"kernel entry at ({s}, {t}) is not finite "
+                                      f"({self.kernel[s, t]})")
             for (s, t), v in self.kernel.items():
                 rv = self.kernel.get((t, s))
                 if rv is not None and abs(rv - np.conj(v)) > SYMMETRY_TOL * max(1.0, abs(v)):

@@ -93,7 +93,9 @@ class JacobiFamily(tuple):
 def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
     """Assemble J_1..J_N at truncation ``level`` from recurrence blocks.
 
-    Needs blocks through A_{level,k}, i.e. coeffs.levels >= level + 1.
+    Needs blocks through A_{level,k}, i.e. coeffs.levels >= level + 1, and
+    refuses a non-finite entry in any block, as ``RecurrenceCoeffs.validate``
+    does; the other checks of ``validate`` are not run.
     The assembled matrices are exactly Hermitian: the diagonal blocks are
     symmetrized (they are Hermitian to extraction tolerance already) and the
     off-diagonal bands are transplanted as B / B*.
@@ -103,6 +105,7 @@ def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
     if coeffs.levels < level + 1:
         raise ValidationError(
             f"need recurrence blocks to level {level + 1}, have {coeffs.levels}")
+    coeffs._require_finite()
     N = coeffs.n_generators
     return JacobiFamily(BlockJacobi(generator=k, level=level, n_generators=N, matrix=J)
                         for k, J in enumerate(_band(coeffs, level), 1))

@@ -17,12 +17,20 @@ tolerance and the rounding level eps ||S_L||_F of the sum, and the tolerance
 is reported. Everything downstream (Szego kernels in both pictures,
 reproduction identities, Christoffel-Darboux) reduces to such sandwiches.
 
+Phi is written once, in ``_kernel_map``, which the sums and the middle terms
+of the reproduction and Christoffel-Darboux checks share. The generators are
+stacked once into a column Z_1..Z_N and a column Z'_1*..Z'_N*; Phi(X) is
+then two products: the first column times X, whose blocks Z_k X are copied
+side by side into one buffer, and that buffer times the column of adjoints.
+A sum adds each term into its running total in place.
+
 K_n, the Christoffel-Darboux bracket and the reproduction of polynomials
 read phi_sigma(Z) from the one table ``orthopoly`` builds, by graded-lex rank.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +147,9 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
                   tol: float = 1e-9, cap: int = SANDWICH_CAP) -> KernelResult:
     """sum over all words sigma of Z_sigma T Z'_sigma*, truncated rigorously.
 
+    ``mats`` holds N >= 1 square d x d matrices, ``mats2`` N square d2 x d2
+    ones and T is d x d2; any other shapes raise ValidationError.
+
     With r the product of the block-row operator norms of the two tuples,
     ||Phi(X)|| <= r ||X|| for Phi(X) = sum_k Z_k X Z'_k*, so after the terms
     Phi^0(T), ..., Phi^L(T) the rest of the series has spectral norm at most
@@ -154,8 +165,36 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     """
     mats = np.asarray(mats, dtype=complex)
     mats2 = np.asarray(mats2, dtype=complex)
-    return _sandwich(mats, mats2, np.asarray(T, dtype=complex),
-                     _row_norm(mats) * _row_norm(mats2), tol, cap)
+    T = np.asarray(T, dtype=complex)
+    if (mats.ndim != 3 or mats2.ndim != 3 or not len(mats) or len(mats) != len(mats2)
+            or mats.shape[1] != mats.shape[2] or mats2.shape[1] != mats2.shape[2]
+            or T.shape != (mats.shape[1], mats2.shape[1])):
+        raise ValidationError(
+            f"ball_sandwich needs N >= 1 d x d matrices, N d2 x d2 matrices and a "
+            f"d x d2 middle; got shapes {mats.shape}, {mats2.shape} and {T.shape}")
+    return _sandwich(mats, mats2, T, _row_norm(mats) * _row_norm(mats2), tol, cap)
+
+
+def _kernel_map(mats: np.ndarray,
+                mats2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Phi: X -> sum_k Z_k X Z'_k* for N d x d matrices Z_k and d2 x d2 Z'_k.
+
+    The generators are stacked once: Z_1..Z_N as one (N d) x d column and
+    Z'_1*..Z'_N* as one (N d2) x d2 column. Phi(X) is then two products:
+    the column of blocks Z_k X, copied side by side into a d x (N d2)
+    buffer made here, times the column of adjoints.
+    """
+    N, d = mats.shape[:2]
+    d2 = mats2.shape[1]
+    Z = mats.reshape(N * d, d)
+    W = mats2.conj().transpose(0, 2, 1).reshape(N * d2, d2)
+    row = np.empty((d, N, d2), dtype=complex)
+
+    def phi(X: np.ndarray) -> np.ndarray:
+        row[...] = (Z @ X).reshape(N, d, d2).transpose(1, 0, 2)
+        return row.reshape(d, N * d2) @ W
+
+    return phi
 
 
 def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
@@ -173,7 +212,7 @@ def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
     lower = float(np.sqrt(np.vdot(T, T).real / min(T.shape))) * (1.0 - 1e-8)
     lower = lower if np.isfinite(lower) else 0.0
     normT = None
-    adj2 = [m.conj().T for m in mats2]
+    phi = _kernel_map(mats, mats2)
     eps = np.finfo(float).eps
     total = T.copy()
     term = T
@@ -195,8 +234,8 @@ def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
             raise ConvergenceError(
                 f"tail bound needs more than {cap} levels at r = {r:.4g}, "
                 f"tol = {tol:.2g}")
-        term = sum(mats[k] @ term @ adj2[k] for k in range(mats.shape[0]))
-        total = total + term
+        term = phi(term)
+        total += term
         L += 1
 
 
@@ -291,14 +330,12 @@ def reproduction_check(t: OperatorTuple, t2: OperatorTuple, T: np.ndarray,
     region = _resolve_region(t)
     if _resolve_region(t2) != region:
         raise ValidationError("points lie in different regions")
-    N = t.n_generators
     if region == "ball":
-        mid = T - sum(t.mats[k] @ T @ t2.mats[k].conj().T for k in range(N))
+        mid = T - _kernel_map(t.mats, t2.mats)(T)
         out = ball_sandwich(t.mats, t2.mats, mid, tol, cap)
     else:
-        S = (t.mats[-1] @ T - T @ t2.mats[-1].conj().T) / 2j
-        for k in range(N - 1):
-            S = S - t.mats[k] @ T @ t2.mats[k].conj().T
+        S = (t.mats[-1] @ T - T @ t2.mats[-1].conj().T) / 2j \
+            - _kernel_map(t.mats[:-1], t2.mats[:-1])(T)
         out = f_sandwich(t, t2, S, tol, cap)
     residual = float(np.max(np.abs(out.value - T)))
     return ReproductionResult(residual=residual,
@@ -432,9 +469,7 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     tuples or recurrence blocks raise ValidationError before it.
     """
     K, bracket = _cd_terms(basis, coeffs, n, t, t2)
-    S = bracket / 2j
-    for k in range(t.n_generators - 1):
-        S = S - t.mats[k] @ K @ t2.mats[k].conj().T
+    S = bracket / 2j - _kernel_map(t.mats[:-1], t2.mats[:-1])(K)
     out = f_sandwich(t, t2, S, tol, cap)
     residual = float(np.max(np.abs(K - out.value)))
     return CDFullResult(residual=residual, tail_bound=out.tail_bound,

@@ -62,17 +62,23 @@ class RecurrenceCoeffs:
         """Assembled B_n, columns ordered by the word k.sigma (graded-lex)."""
         return np.hstack([self.B[n, k] for k in range(1, self.n_generators + 1)])
 
+    def _require_finite(self) -> None:
+        """Reject a block with a non-finite entry, the first in (n, k) order."""
+        for n in range(self.levels):
+            for k in range(1, self.n_generators + 1):
+                for name, block in (("A", self.A[n, k]), ("B", self.B[n, k])):
+                    if not np.isfinite(block).all():
+                        raise ValidationError(
+                            f"{name} block (n={n}, k={k}) has a non-finite entry")
+
     def validate(self, cond_bound: float = COND_BOUND) -> None:
         """Reject non-finite blocks, non-Hermitian A, non-triangular/ill-conditioned B,
         and a bad diagonal."""
+        self._require_finite()
         N = self.n_generators
         for n in range(self.levels):
             for k in range(1, N + 1):
                 a = self.A[n, k]
-                for name, block in (("A", a), ("B", self.B[n, k])):
-                    if not np.isfinite(block).all():
-                        raise ValidationError(
-                            f"{name} block (n={n}, k={k}) has a non-finite entry")
                 if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
                     raise ValidationError(f"A block (n={n}, k={k}) is not Hermitian")
             Bn = self.b_block(n)

@@ -9,10 +9,11 @@ from ncpoly.cli import main
 from ncpoly.functional import MomentFunctional, from_representation
 from ncpoly.opeval import random_ball_tuple
 from ncpoly.orthopoly import orthogonalize
-from ncpoly.serialize import save_basis, save_moments, save_point
+from ncpoly.serialize import save_basis, save_coeffs, save_moments, save_point
 from ncpoly.words import EMPTY, Word
 
 from test_functional import count_linalg, random_representation
+from test_recurrence import scalar_blocks
 
 
 def run(capsys, *argv):
@@ -121,6 +122,16 @@ def test_jacobi_command(capsys, tmp_path, catalan_file):
     assert rep["metrics"]["hermiticity_defect"] == 0.0
     assert abs(rep["metrics"]["moment"][0] - 2.0) < 1e-10
     assert rep["metrics"]["truncated"] is True
+
+
+def test_jacobi_command_refuses_non_finite_blocks(capsys, tmp_path):
+    path = str(tmp_path / "nan.json")
+    save_coeffs(scalar_blocks(1, [0.0, float("nan")], [1.0, 1.0]), path)
+    code, rep = run(capsys, "jacobi", "--coeffs", path, "--truncate", "1",
+                    "--word", "1.1")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "A block (n=1, k=1) has a non-finite entry" in json.dumps(rep)
 
 
 def test_hamburger_yes_and_no(capsys, tmp_path, catalan_file):

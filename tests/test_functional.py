@@ -136,6 +136,16 @@ def test_generic_kernel_must_be_hermitian():
                          moments={EMPTY: 1.0, Word((1,)): 0.5}, kernel=kernel)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
+def test_generic_kernel_must_be_finite(bad):
+    # (1, 1) is stored first; in graded-lex order of pairs (e, 1) comes first
+    kernel = {(Word((1,)), Word((1,))): bad, (EMPTY, EMPTY): 1.0,
+              (EMPTY, Word((1,))): bad}
+    with pytest.raises(ValidationError, match=r"kernel entry at \(e, 1\) is not finite"):
+        MomentFunctional(n_generators=1, kind="generic", max_degree=1,
+                         moments={EMPTY: 1.0, Word((1,)): 0.0}, kernel=kernel)
+
+
 def test_generic_kernel_conjugate_fallback():
     kernel = {(EMPTY, EMPTY): 1.0 + 0.0j,
               (EMPTY, Word((1,))): 0.5 + 0.2j,

@@ -293,3 +293,12 @@ def test_hamburger_refuses_a_non_finite_moment(bad):
         hamburger_check({"e": 1, "1": bad, "1.1": 1}, 1, 1)
     with pytest.raises(ValidationError, match=r"moment at 1\.2 is not finite"):
         hamburger_check({"e": 1, "1": 0, "2": 0, "1.2": bad, "2.1": 0.5}, 2, 1)
+
+
+@pytest.mark.parametrize("block", ["A", "B"])
+def test_build_refuses_non_finite_blocks(block):
+    a_vals, b_vals = [0.0, 0.0], [1.0, 1.0]
+    (a_vals if block == "A" else b_vals)[1] = float("nan")
+    coeffs = scalar_blocks(1, a_vals, b_vals)
+    with pytest.raises(ValidationError, match=f"{block} block \\(n=1, k=1\\) has a non-finite"):
+        build(coeffs, 1)

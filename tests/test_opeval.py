@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import opeval
@@ -187,6 +187,136 @@ def test_sandwich_stopped_a_posteriori_takes_no_two_norm(monkeypatch):
     assert calls == []
     assert (res.truncation_length, res.tail_bound) == (3, 1e-9)
     assert np.array_equal(res.value, prior_sum(Z, Z, T, 3))
+
+
+def phi_reference(mats, mats2, X):
+    """sum_k Z_k X Z'_k*, one generator at a time."""
+    return sum((mats[k] @ X @ mats2[k].conj().T for k in range(len(mats))),
+               np.zeros((mats.shape[1], mats2.shape[1]), dtype=complex))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_gen=st.integers(0, 3), d=st.integers(1, 7),
+       d2=st.integers(1, 7))
+@example(seed=1, n_gen=3, d=2, d2=5)
+@example(seed=2, n_gen=1, d=6, d2=3)
+def test_kernel_map_matches_the_per_generator_sum(seed, n_gen, d, d2):
+    # n_gen = 0 is the empty tuple W_1..W_{N-1} of a one-generator half-space point
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((n_gen, d, d)) + 1j * rng.standard_normal((n_gen, d, d))
+    mats2 = rng.standard_normal((n_gen, d2, d2)) + 1j * rng.standard_normal((n_gen, d2, d2))
+    phi = opeval._kernel_map(mats, mats2)
+    for _ in range(3):    # the buffer is reused from call to call
+        X = rng.standard_normal((d, d2)) + 1j * rng.standard_normal((d, d2))
+        ref = phi_reference(mats, mats2, X)
+        out = phi(X)
+        assert out.shape == (d, d2)
+        scale = sum(np.linalg.norm(m, 2) * np.linalg.norm(m2, 2)
+                    for m, m2 in zip(mats, mats2)) * np.linalg.norm(X, 2)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * max(scale, 1.0)
+
+
+def row_norm(mats):
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(
+        sum(m @ m.conj().T for m in mats))[-1])))
+
+
+def series_reference(mats, mats2, T, tol, cap=SANDWICH_CAP):
+    """(value, truncation_length, tail_bound) by the two stop rules of the sum."""
+    r = row_norm(mats) * row_norm(mats2)
+    normT = np.linalg.norm(T, 2)
+    eps = np.finfo(float).eps
+    total, term = T.copy(), T
+    for L in range(cap + 1):
+        prior = normT * r ** (L + 1) / (1.0 - r)
+        if prior <= tol:
+            return total, L, prior
+        post = r * np.linalg.norm(term) / (1.0 - r)
+        if post <= min(tol, eps * np.linalg.norm(total)):
+            return total, L, tol
+        term = phi_reference(mats, mats2, term)
+        total = total + term
+    raise AssertionError("no stop rule fired within the cap")
+
+
+def half_space_reference(W, W2, S, tol):
+    """4 sum_sigma Z_sigma (i + W_N)^-1 S (i + W'_N)^-* Z'_sigma* in ball coordinates."""
+    Z, Z2 = cayley_inverse(W).mats, cayley_inverse(W2).mats
+    value, L, tail = series_reference(Z, Z2, opeval._siegel_middle(W, W2, S), tol / 4.0)
+    return 4.0 * value, L, 4.0 * tail
+
+
+def assert_same_sum(res, value, L, tail):
+    assert res.truncation_length == L
+    assert res.tail_bound == pytest.approx(tail, rel=1e-12)
+    assert np.max(np.abs(res.value - value)) <= 1e-13 * np.max(np.abs(value))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_entry_points_match_the_reference_series(seed):
+    rng = np.random.default_rng(seed)
+    d, tol = 12, 1e-10
+    Z = random_ball_tuple(rng, 2, d, margin=0.3)
+    Z2 = random_ball_tuple(rng, 2, d, margin=0.3)
+    W, W2 = random_siegel_tuple(rng, 2, d, margin=0.3), random_siegel_tuple(rng, 2, d, margin=0.3)
+    T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    eye = np.eye(d, dtype=complex)
+
+    assert_same_sum(ball_sandwich(Z.mats, Z2.mats, T, tol),
+                    *series_reference(Z.mats, Z2.mats, T, tol))
+    assert_same_sum(szego_ball(Z, Z2, tol), *series_reference(Z.mats, Z2.mats, eye, tol))
+    # scaled unitaries: every term shrinks by exactly r, so the a-priori rule stops the sum
+    U, U2 = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+             for _ in range(2))
+    res = ball_sandwich([0.5 * U], [0.5 * U2], T, tol)
+    assert res.tail_bound < tol
+    assert_same_sum(res, *series_reference(np.array([0.5 * U]), np.array([0.5 * U2]), T, tol))
+    assert_same_sum(szego_siegel(W, W2, tol), *half_space_reference(W, W2, eye, tol))
+
+    res = reproduction_check(Z, Z2, T, tol)
+    value, L, tail = series_reference(Z.mats, Z2.mats, T - phi_reference(Z.mats, Z2.mats, T), tol)
+    assert (res.truncation_length, res.tail_bound) == (L, pytest.approx(tail, rel=1e-12))
+    assert abs(res.residual - np.max(np.abs(value - T))) <= 1e-13 * np.max(np.abs(T))
+    res = reproduction_check(W, W2, T, tol)
+    S = (W.mats[-1] @ T - T @ W2.mats[-1].conj().T) / 2j \
+        - phi_reference(W.mats[:-1], W2.mats[:-1], T)
+    value, L, tail = half_space_reference(W, W2, S, tol)
+    assert (res.truncation_length, res.tail_bound) == (L, pytest.approx(tail, rel=1e-12))
+    assert abs(res.residual - np.max(np.abs(value - T))) <= 1e-13 * np.max(np.abs(T))
+
+    _, _, basis, coeffs = rep_setup(seed=50 + seed)
+    t, t2 = random_siegel_tuple(rng, 2, 4, margin=0.3), random_siegel_tuple(rng, 2, 4, margin=0.3)
+    res = cd_full_check(basis, coeffs, 2, t, t2, tol)
+    K, bracket = opeval._cd_terms(basis, coeffs, 2, t, t2)
+    S = bracket / 2j - phi_reference(t.mats[:-1], t2.mats[:-1], K)
+    value, L, tail = half_space_reference(t, t2, S, tol)
+    assert (res.truncation_length, res.tail_bound) == (L, pytest.approx(tail, rel=1e-12))
+    assert abs(res.residual - np.max(np.abs(K - value))) <= 1e-13 * np.max(np.abs(K))
+
+
+def test_ball_sandwich_takes_a_rectangular_middle():
+    rng = np.random.default_rng(77)
+    Z = random_ball_tuple(rng, 2, 5, margin=0.4).mats
+    Z2 = random_ball_tuple(rng, 2, 3, margin=0.4).mats
+    T = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    assert_same_sum(ball_sandwich(Z, Z2, T, 1e-10), *series_reference(Z, Z2, T, 1e-10))
+
+
+def test_ball_sandwich_refuses_mismatched_shapes():
+    rng = np.random.default_rng(78)
+    Z = random_ball_tuple(rng, 2, 3, margin=0.4).mats
+    Z3 = random_ball_tuple(rng, 3, 3, margin=0.4).mats
+    eye = np.eye(3)
+    # a longer second tuple would lose its extra generators; a shorter one ran off the end
+    with pytest.raises(ValidationError, match=r"\(2, 3, 3\), \(3, 3, 3\) and \(3, 3\)"):
+        ball_sandwich(Z, Z3, eye)
+    with pytest.raises(ValidationError, match=r"\(3, 3, 3\), \(2, 3, 3\) and \(3, 3\)"):
+        ball_sandwich(Z3, Z, eye)
+    with pytest.raises(ValidationError, match=r"\(2, 3, 3\), \(2, 3, 3\) and \(3, 2\)"):
+        ball_sandwich(Z, Z, eye[:, :2])
+    for mats, mats2 in ((Z[:, :, :2], Z), (Z, Z[0]), (Z[:0], Z[:0])):
+        with pytest.raises(ValidationError, match="got shapes"):
+            ball_sandwich(mats, mats2, eye)
 
 
 def test_szego_ball_fast_decay_returns_under_cap():
