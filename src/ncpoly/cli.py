@@ -23,7 +23,7 @@ from . import opeval
 from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
-from .functional import _refuse_unless_strict, gram, strict_positivity
+from .functional import gram, require_strict_positivity, strict_positivity
 from .orthopoly import (OrthoBasis, _cholesky_basis, _word_stack, determinant_formula,
                         orthogonalize, orthonormality_residual)
 from .recurrence import extract, favard, residual_check
@@ -39,16 +39,16 @@ def _report(command: str, status: str, metrics: dict, artifacts: list[str]) -> N
 def cmd_orthopoly(args) -> tuple[str, dict, list]:
     f = serialize.load_moments(args.moments)
     G = gram(f, args.level)
-    pos = strict_positivity(f, args.level, G=G)
     if args.method == "determinant":
+        pos = strict_positivity(f, args.level, G=G)
         coeffs = {}
         for w in words_up_to(args.level, f.n_generators):
             coeffs[w] = determinant_formula(f, w)
         basis = OrthoBasis(n_generators=f.n_generators, level=args.level,
                            coeffs=coeffs)
     else:
-        # the verdict above is orthogonalize's, so factor without deciding again
-        _refuse_unless_strict(pos, args.level)
+        # orthogonalize in its two steps, keeping the verdict for its eigenvalue
+        pos = require_strict_positivity(f, args.level, G=G)
         basis = _cholesky_basis(f.n_generators, G)
     resid = orthonormality_residual(basis, G)
     artifacts = []
@@ -152,6 +152,8 @@ def _load_points(args, region: str) -> tuple[opeval.OperatorTuple, opeval.Operat
     if args.random_points:
         if args.point or args.point2:
             raise ValidationError("give either point files or --random-points")
+        if args.n_gen is None:
+            raise ValidationError("--n-gen required with --random-points")
         rng = np.random.default_rng(args.seed)
         maker = (opeval.random_ball_tuple if region == "ball"
                  else opeval.random_siegel_tuple)
@@ -239,9 +241,9 @@ def _op_separate(args) -> tuple[str, dict, list]:
     if not args.word:
         raise ValidationError("--word required")
     sigma = Word.parse(args.word)
-    N = args.n_gen if args.n_gen else max(sigma.letters)
     tuples = opeval.separating_tuples(sigma, unit_dim=args.unit_dim,
-                                      n_generators=N)
+                                      n_generators=args.n_gen)
+    N = tuples[0].n_generators
     k = len(sigma)
     u = args.unit_dim
     scale = 2.0 ** (-k / 2.0)

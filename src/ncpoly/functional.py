@@ -311,6 +311,8 @@ def gram(f: MomentFunctional, level: int) -> GramMatrix:
     exactly Hermitian. A word the kernel needs but the functional does not
     store raises DataIncompleteError naming it.
     """
+    if level < 0:
+        raise ValidationError("level must be >= 0")
     N = f.n_generators
     ws = words_up_to(level, N)
     offs = level_offsets(N, level)
@@ -386,17 +388,12 @@ def _min_eigenvalue(G: GramMatrix, tol: float) -> tuple[float, float]:
 def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
                               G: GramMatrix | None = None) -> PositivityResult:
     res = strict_positivity(f, level, tol, G)
-    _refuse_unless_strict(res, level)
-    return res
-
-
-def _refuse_unless_strict(res: PositivityResult, level: int) -> None:
-    """Raise the PositivityError of ``require_strict_positivity`` for a refused verdict."""
     if not res.ok:
         raise PositivityError(
             f"Gram matrix at level {level} is not strictly positive "
             f"(min eigenvalue {res.min_eigenvalue:.3e})",
             min_eigenvalue=res.min_eigenvalue, certificate=res.certificate)
+    return res
 
 
 def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> MomentFunctional:

@@ -46,7 +46,7 @@ SANDWICH_CAP = 64
 
 @dataclass
 class OperatorTuple:
-    """A tuple (Z_1, ..., Z_N) of square matrices of a common size."""
+    """A tuple (Z_1, ..., Z_N) of finite square matrices of a common size."""
 
     n_generators: int
     dim: int
@@ -61,6 +61,9 @@ class OperatorTuple:
                 f"got array of shape {self.mats.shape}")
         if self.region not in ("ball", "siegel", "unchecked"):
             raise ValidationError(f"unknown region tag {self.region!r}")
+        finite = np.isfinite(self.mats).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"matrix {int(np.argmin(finite)) + 1} has a non-finite entry")
 
 
 @dataclass
@@ -148,7 +151,7 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     """sum over all words sigma of Z_sigma T Z'_sigma*, truncated rigorously.
 
     ``mats`` holds N >= 1 square d x d matrices, ``mats2`` N square d2 x d2
-    ones and T is d x d2; any other shapes raise ValidationError.
+    ones and T is d x d2, all finite; anything else raises ValidationError.
 
     With r the product of the block-row operator norms of the two tuples,
     ||Phi(X)|| <= r ||X|| for Phi(X) = sum_k Z_k X Z'_k*, so after the terms
@@ -172,6 +175,9 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
         raise ValidationError(
             f"ball_sandwich needs N >= 1 d x d matrices, N d2 x d2 matrices and a "
             f"d x d2 middle; got shapes {mats.shape}, {mats2.shape} and {T.shape}")
+    for what, M in (("Z", mats), ("Z'", mats2), ("T", T)):
+        if not np.isfinite(M).all():
+            raise ValidationError(f"ball_sandwich: {what} has a non-finite entry")
     return _sandwich(mats, mats2, T, _row_norm(mats) * _row_norm(mats2), tol, cap)
 
 
@@ -355,6 +361,8 @@ def separating_tuples(sigma: Word, unit_dim: int = 1,
     k = len(sigma)
     if k == 0:
         raise ValidationError("needs a nonempty word")
+    if unit_dim < 1:
+        raise ValidationError("unit_dim must be >= 1")
     N = n_generators if n_generators is not None else max(sigma.letters)
     if max(sigma.letters) > N:
         raise ValidationError("word uses a letter beyond n_generators")
@@ -502,6 +510,8 @@ def random_ball_tuple(rng: np.random.Generator, n_generators: int, dim: int,
     """Random point with I - sum Z_k Z_k* having smallest eigenvalue = margin."""
     if not 0.0 < margin < 1.0:
         raise ValidationError("margin must be in (0, 1)")
+    if n_generators < 1 or dim < 1:
+        raise ValidationError("n_generators and dim must be >= 1")
     A = rng.standard_normal((n_generators, dim, dim)) \
         + 1j * rng.standard_normal((n_generators, dim, dim))
     M = sum(A[k] @ A[k].conj().T for k in range(n_generators))

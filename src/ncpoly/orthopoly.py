@@ -12,9 +12,9 @@ maps phi_sigma to phi_{k.sigma} up to a correction along an auxiliary
 family phi#, mirroring the classical orthogonal-polynomials-on-the-circle
 recursion. ``szego_recursion`` rebuilds the basis that way and verifies it
 against the Cholesky route. It decides positivity once (eigenvalues only)
-and factors the Gram matrix once: the factor that gives the Cholesky basis
-also gives the leading minors the ladder scalars need. The phi# family is
-kept as a dense matrix; its Word-keyed rows are built on first read.
+and factors the Gram matrix once, for that cross-check alone: each ladder
+scalar is read off the ladder's own rows. The phi# family is kept as a dense
+matrix; its Word-keyed rows are built on first read.
 
 Coefficient rows pair conjugated against the Gram's first slot: the
 orthonormality identity reads conj(A) G A^T = I (for real moments this is
@@ -134,19 +134,20 @@ def _cholesky_basis(n_generators: int, G: GramMatrix) -> OrthoBasis:
     its own tolerance keeps that decision; a factorization that still fails
     raises PositivityError.
     """
-    return OrthoBasis._from_matrix(n_generators, G.level, _cholesky(G)[1])
-
-
-def _cholesky(G: GramMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(L, A): the lower Cholesky factor L of conj(G) and A = L^-1 with a real diagonal."""
     try:
         L = np.linalg.cholesky(np.conj(G.entries))
     except np.linalg.LinAlgError as exc:
         raise PositivityError(f"Cholesky failed at level {G.level}: {exc}") from exc
     A = np.linalg.inv(L)
-    di = np.arange(A.shape[0])
-    A[di, di] = A[di, di].real
-    return L, A
+    np.fill_diagonal(A, A.diagonal().real)
+    return OrthoBasis._from_matrix(n_generators, G.level, A)
+
+
+def _shift_rows(rows: np.ndarray, kmap: np.ndarray) -> np.ndarray:
+    """Coefficient rows of Y_k P from those of P; kmap is a row of shift_map."""
+    out = np.zeros_like(rows)
+    out[:, kmap] = rows[:, :len(kmap)]
+    return out
 
 
 def orthonormality_residual(basis: OrthoBasis, G: GramMatrix | np.ndarray,
@@ -254,31 +255,22 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
         phi_w  = (Y_k phi_sigma - gamma_w phi#_p) / d_w
         phi#_w = (-conj(gamma_w) Y_k phi_sigma + phi#_p) / d_w
 
-    with gamma_w = -sqrt(D_w / D_{1,w}) a_{w,e}, d_w = sqrt(1 - |gamma_w|^2),
-    and phi#_e = 1. D_w is the initial-segment Gram determinant through w and
-    D_{1,w} the same with the empty word removed. The rebuilt basis must
-    match the Cholesky route; a mismatch raises ConsistencyError.
+    with gamma_w = <Y_k phi_sigma, phi#_p> = a_{sigma,sigma} <F_w, phi#_p>,
+    d_w = sqrt(1 - |gamma_w|^2), and phi#_e = 1. The second form holds
+    because phi#_p is orthogonal to every F_v with e < v <= p, and every
+    monomial of Y_k phi_sigma but its top one a_{sigma,sigma} F_w is such an
+    F_v; so each scalar is one product of the phi#_p row with a Gram column.
+    The rebuilt basis must match the Cholesky route; a mismatch raises
+    ConsistencyError.
     """
     if f.kind != "toeplitz":
         raise ValidationError("the scalar ladder applies to toeplitz functionals")
     G = gram(f, level)
-    require_strict_positivity(f, level, G=G)
+    reference = orthogonalize(f, level, G=G).matrix()
     n = len(G.words)
-    # one factor serves both the Gram-Schmidt basis and the leading minors
-    L, A = _cholesky(G)
-    A = np.tril(A)
-    diag = np.real(np.diag(L))
-    lead = np.concatenate([[1.0], np.cumprod(diag**2)])  # order-m minors
-    if n > 1:
-        L1 = np.linalg.cholesky(np.conj(G.entries[1:, 1:]))
-        diag1 = np.real(np.diag(L1))
-        lead1 = np.concatenate([[1.0], np.cumprod(diag1**2)])
-    else:
-        lead1 = np.array([1.0])
-
     N = f.n_generators
     offs = level_offsets(N, level)
-    kmap = shift_map(N, level)
+    kmaps = shift_map(N, level)
     gammas: dict[Word, complex] = {}
     ds: dict[Word, float] = {}
     phi = np.zeros((n, n), dtype=complex)
@@ -286,25 +278,28 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     phi[0, 0] = 1.0
     sharp[0, 0] = 1.0
     for m in range(1, level + 1):
-        tail_size = N ** (m - 1)
+        # the rows Y_k phi_sigma for w = k.sigma, in the graded-lex order of w,
+        # and their leading coefficients a_{sigma,sigma}
+        prev = phi[offs[m - 1]:offs[m]]
+        shifted = np.concatenate([_shift_rows(prev, kmap) for kmap in kmaps])
+        lead = np.tile(np.diagonal(phi)[offs[m - 1]:offs[m]].real, N).tolist()
         for r in range(N**m):
             i = offs[m] + r
             w = G.words[i]
-            gamma = complex(-np.sqrt(lead[i + 1] / lead1[i]) * A[i, 0])
+            # gamma_w = a_{sigma,sigma} <F_w, phi#_p>; phi#_p has no column
+            # past p = i - 1, and Y_k phi_sigma none past w = i
+            gamma = lead[r] * complex(np.vdot(sharp[i - 1, :i], G.entries[:i, i]))
             if abs(gamma) >= 1.0:
                 raise PositivityError(
                     f"ladder scalar at {w} has modulus {abs(gamma):.6f} >= 1")
             d = float(np.sqrt(1.0 - abs(gamma) ** 2))
             gammas[w], ds[w] = gamma, d
-            # w = k.tail: shift phi_tail by the first letter k
-            k, tail = divmod(r, tail_size)
-            shifted = np.zeros(n, dtype=complex)
-            shifted[kmap[k]] = phi[offs[m - 1] + tail, :offs[level]]
-            phi[i] = (shifted - gamma * sharp[i - 1]) / d
-            sharp[i] = (-np.conj(gamma) * shifted + sharp[i - 1]) / d
+            y, s = shifted[r, :i + 1], sharp[i - 1, :i + 1]
+            phi[i, :i + 1] = (y - gamma * s) / d
+            sharp[i, :i + 1] = (s - gamma.conjugate() * y) / d
 
-    dev = float(np.max(np.abs(phi - A)))
-    if dev > tol * max(1.0, float(np.max(np.abs(A)))):
+    dev = float(np.max(np.abs(phi - reference)))
+    if dev > tol * max(1.0, float(np.max(np.abs(reference)))):
         raise ConsistencyError(
             f"ladder basis deviates from Gram-Schmidt basis by {dev:.3e}")
     rebuilt = OrthoBasis._from_matrix(f.n_generators, level, phi)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments, _orbit
-from .orthopoly import OrthoBasis
+from .orthopoly import OrthoBasis, _shift_rows
 from .words import level_offsets, shift_map, word_at
 
 HERMITICITY_TOL = 1e-10
@@ -97,13 +97,6 @@ class RecurrenceCoeffs:
                     f"k={j // N**n + 1})")
             if np.linalg.cond(Bn) > cond_bound:
                 raise ValidationError(f"B_{n} condition number exceeds {cond_bound:.1e}")
-
-
-def _shift_rows(rows: np.ndarray, kmap: np.ndarray) -> np.ndarray:
-    """Coefficient rows of Y_k P from those of P; kmap is a row of shift_map."""
-    out = np.zeros_like(rows)
-    out[:, kmap] = rows[:, :len(kmap)]
-    return out
 
 
 def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,

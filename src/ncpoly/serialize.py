@@ -112,13 +112,7 @@ def load_moments(path: str) -> MomentFunctional:
     data = _read(path)
     N = int(_require(data, "n_generators", path))
     kind = _require(data, "kind", path)
-    raw = _require(data, "moments", path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: 'moments' must be an object")
-    moments = {}
-    for key, v in raw.items():
-        w = _word(key, f"{path}: moments[{key!r}]", N)
-        moments[w] = _uncx(v, f"{path}: moments[{key!r}]")
+    moments = _moment_entries(data, path, N)
     kernel = None
     if data.get("kernel") is not None:
         kernel = {}
@@ -142,11 +136,16 @@ def load_moment_dict(path: str) -> tuple[int, dict[Word, complex]]:
     """
     data = _read(path)
     N = int(_require(data, "n_generators", path))
+    return N, _moment_entries(data, path, N)
+
+
+def _moment_entries(data: dict, path: str, n_generators: int) -> dict[Word, complex]:
+    """The 'moments' object of a moment file as {Word: value}, in file order."""
     raw = _require(data, "moments", path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: 'moments' must be an object")
-    return N, {_word(key, f"{path}: moments[{key!r}]", N):
-               _uncx(v, f"{path}: moments[{key!r}]") for key, v in raw.items()}
+    return {_word(key, f"{path}: moments[{key!r}]", n_generators):
+            _uncx(v, f"{path}: moments[{key!r}]") for key, v in raw.items()}
 
 
 def save_moments(f: MomentFunctional, path: str) -> None:

@@ -252,3 +252,32 @@ def test_nonpositive_moments_exit_1(capsys, tmp_path):
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["metrics"]["min_eigenvalue"] < 0
+
+
+@pytest.fixture
+def nan_point_file(tmp_path):
+    mats = random_ball_tuple(np.random.default_rng(83), 2, 2).mats
+    pairs = np.stack((mats.real, mats.imag), -1).tolist()
+    pairs[1][0][1][0] = float("nan")          # json writes it as NaN
+    path = str(tmp_path / "nan.json")
+    with open(path, "w") as fh:
+        json.dump({"n_generators": 2, "dim": 2, "region": "ball", "matrices": pairs}, fh)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    "orthopoly --moments {moments} --level -1",
+    "recurrence --moments {moments} --levels -1",
+    "hamburger --moments {moments} --level -1",
+    "kernel --op szego-ball --random-points",
+    "kernel --op szego-ball --random-points --n-gen 0",
+    "kernel --op szego-ball --random-points --n-gen 2 --dim 0",
+    "kernel --op separate --word e",
+    "kernel --op separate --word 1.2 --unit-dim 0",
+    "kernel --op szego-ball --point {nan_point}",
+    "kernel --op cayley --point {nan_point}",
+])
+def test_malformed_arguments_exit_2(capsys, catalan_file, nan_point_file, argv):
+    code, rep = run(capsys, *argv.format(moments=catalan_file, nan_point=nan_point_file).split())
+    assert code == 2
+    assert rep["status"] == "error"

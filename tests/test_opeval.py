@@ -107,6 +107,24 @@ def test_ball_sandwich_tail_bound_is_honest():
     assert coarse.truncation_length < fine.truncation_length
 
 
+def test_operator_tuple_refuses_a_non_finite_entry():
+    mats = np.zeros((3, 2, 2), dtype=complex)
+    mats[1, 0, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValidationError, match="matrix 2 has a non-finite entry"):
+        OperatorTuple(n_generators=3, dim=2, mats=mats)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_ball_sandwich_refuses_non_finite_input_before_any_decomposition(monkeypatch, where):
+    Z = random_ball_tuple(np.random.default_rng(57), 2, 3).mats
+    args = [Z.copy(), Z.copy(), np.eye(3, dtype=complex)]
+    args[where][..., 0, 1] = np.nan
+    calls = count_linalg(monkeypatch, "eigvalsh", "eigh", "norm", "svd")
+    with pytest.raises(ValidationError, match="non-finite"):
+        ball_sandwich(*args)
+    assert calls == []
+
+
 def test_ball_sandwich_diverges_outside():
     mats = np.zeros((1, 2, 2), dtype=complex)
     mats[0] = 1.5 * np.eye(2)

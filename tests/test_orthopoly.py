@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_words, gram_schmidt_basis, hankel_kernel, toeplitz_kernel
 
-from ncpoly.errors import PositivityError, ValidationError
-from ncpoly.functional import MomentFunctional, from_representation, gram
+from ncpoly.errors import NCPolyError, PositivityError, ValidationError
+from ncpoly.functional import (MomentFunctional, from_representation, gram,
+                               require_strict_positivity)
 from ncpoly.orthopoly import (DETERMINANT_CAP, OrthoBasis, determinant_formula,
                               SzegoData, evaluate, orthogonalize,
                               orthonormality_residual, szego_recursion, word_product)
@@ -164,8 +167,61 @@ def test_szego_recursion_factors_the_gram_once(monkeypatch):
     f = random_toeplitz(np.random.default_rng(25), 2, 3, scale=0.08)
     calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh")
     szego_recursion(f, 3)
-    # one decision, then one factor of G and one of G without the empty word
-    assert sorted(calls) == ["cholesky", "cholesky", "eigvalsh"]
+    # one decision, then one factor of G for the cross-check; no minors
+    assert sorted(calls) == ["cholesky", "eigvalsh"]
+
+
+def determinant_ratio_gammas(f, level):
+    """gamma_w = -sqrt(D_w / D_{1,w}) a_{w,e}, the reference for the ladder's scalars.
+
+    D_w is the leading minor of the Gram matrix through w, D_{1,w} the same
+    with the empty word removed, and a_{w,e} the constant coefficient of the
+    Cholesky basis.
+    """
+    G = gram(f, level)
+    require_strict_positivity(f, level, G=G)
+    E = np.conj(G.entries)
+    try:
+        L, L1 = np.linalg.cholesky(E), np.linalg.cholesky(E[1:, 1:])
+    except np.linalg.LinAlgError as exc:
+        raise PositivityError(str(exc)) from exc
+    A = np.linalg.inv(L)
+    D = np.concatenate([[1.0], np.cumprod(np.diag(L).real ** 2)])
+    D1 = np.concatenate([[1.0], np.cumprod(np.diag(L1).real ** 2)])
+    gammas = {}
+    for i, w in enumerate(G.words[1:], start=1):
+        gammas[w] = complex(-np.sqrt(D[i + 1] / D1[i]) * A[i, 0])
+        if abs(gammas[w]) >= 1.0:
+            raise PositivityError(f"ladder scalar at {w} has modulus >= 1")
+    return gammas
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NCPolyError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 3), level=st.integers(1, 3),
+       scale=st.floats(0.01, 0.3), rho=st.floats(0.5, 0.99))
+def test_szego_gammas_match_the_determinant_ratio(seed, N, level, scale, rho):
+    # the length-one data has norm rho, so the scalars of the first level
+    # reach |gamma| near rho; the longer data at this scale is often refused
+    level = min(level, 5 - N)
+    rng = np.random.default_rng(seed)
+    f = random_toeplitz(rng, N, level, scale=scale)
+    c1 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    f.moments.update(zip([Word.of(k) for k in range(1, N + 1)],
+                         (rho * c1 / np.linalg.norm(c1)).tolist()))
+    want = outcome(determinant_ratio_gammas, f, level)
+    got = outcome(lambda: szego_recursion(f, level)[1].gammas)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert list(got) == list(want)
+        assert max(abs(got[w] - want[w]) for w in want) <= 1e-14
 
 
 @pytest.mark.parametrize("N, level", [(1, 4), (2, 3), (3, 2)])

@@ -170,7 +170,10 @@ def test_saved_arrays_load_bit_for_bit(n_gen, dim, vals):
     def take(*shape):
         return np.array([next(pool) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
-    t = OperatorTuple(n_generators=n_gen, dim=dim, mats=take(n_gen, dim, dim), region="ball")
+    # a point refuses a non-finite entry (zeroed here); the matrix and blocks keep theirs
+    mats = take(n_gen, dim, dim)
+    t = OperatorTuple(n_generators=n_gen, dim=dim,
+                      mats=np.where(np.isfinite(mats), mats, 0.0), region="ball")
     M = take(dim, dim + 1)
     A = {(n, k): take(n_gen**n, n_gen**n) for n in range(2) for k in range(1, n_gen + 1)}
     B = {(n, k): take(n_gen ** (n + 1), n_gen**n) for n in range(2) for k in range(1, n_gen + 1)}
