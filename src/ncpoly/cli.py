@@ -23,7 +23,7 @@ from . import opeval
 from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
-from .functional import gram, require_strict_positivity, strict_positivity
+from .functional import _require_tol, gram, require_strict_positivity, strict_positivity
 from .orthopoly import (OrthoBasis, _cholesky_basis, _word_stack, determinant_formula,
                         orthogonalize, orthonormality_residual)
 from .recurrence import extract, favard, residual_check
@@ -232,6 +232,7 @@ def _op_cd(args, full: bool) -> tuple[str, dict, list]:
                    "truncation_length": res.truncation_length,
                    "threshold": threshold}
         return ("ok" if res.residual <= threshold else "fail"), metrics, []
+    _require_tol(args.tol)  # the one threshold the command applies itself
     resid = opeval.cd_inner_identity(basis, coeffs, args.n, t, t2)
     metrics = {"residual": resid, "threshold": args.tol}
     return ("ok" if resid <= args.tol else "fail"), metrics, []

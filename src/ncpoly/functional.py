@@ -16,17 +16,22 @@ up to that level in graded-lex order. Its entry (sigma, tau) pairs F_tau
 against F_sigma, conjugate-linearly in sigma; coefficient vectors p, q of
 polynomials P, Q therefore have inner product <P, Q> = q^H G p.
 
-Moments are kept at the edge as a dict keyed by ``Word`` (``f.moments``,
-which callers may change). A computation that needs them locates them by
-graded-lex rank (``words.rank_groups``): by position where the keys are the
-live shared word tables in graded-lex order, as in every dict the library
-computes, and by each word's letters otherwise. No rank array is kept on a
-functional whose moments a caller can reach, so none can go stale; only
-``jacobi.hamburger_check``'s own functional, built on its private copy,
-carries the read of its involution check to its one Gram. The hankel Gram
-is then a block gather: block (i, j) is the length-(i + j) moment array
-reshaped to N^i x N^j, its rows permuted by the reversal of the length-i
-words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
+A functional the library computes (``from_representation``,
+``recurrence.favard``) keeps its moments as one complex array per length,
+indexed by graded-lex rank; ``f.moments`` is a view of them keyed by
+``Word`` (``_MomentView``), read by rank arithmetic and iterated over the
+shared word tables, which callers may still change: the first edit turns it
+into the plain dict it then wraps. Every other functional keeps the dict it
+was given, copied. A computation reads a moment mapping once
+(``_ranked``): the arrays of an unwritten view straight, with no word read
+or built, and any other mapping by ``words.rank_groups``, by position where
+its keys are the live shared word tables in graded-lex order and by each
+word's letters otherwise. That read is kept only on
+``jacobi.hamburger_check``'s own functional, which carries it from its
+involution check to its one Gram, so no read of moments a caller can edit
+can go stale. The hankel Gram is then a block gather: block (i, j) is the
+length-(i + j) moment array reshaped to N^i x N^j, its rows permuted by the
+reversal of the length-i words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
 involution checks compare each stored word with its reversal rank by rank.
 The vectors X_w v of an operator model come from one orbit routine
 (``_orbit``, also behind ``jacobi.JacobiFamily.orbit`` and ``recurrence.favard``),
@@ -38,24 +43,29 @@ made complex only when some value is not one) and checks s_e = 1, that every
 moment is finite and, for the hankel kind, every involution partner and the
 symmetry s_{I(w)} = conj(s_w) within ``SYMMETRY_TOL`` (``_involution_defect``,
 which also reads finiteness from its one value array); the loaders in
-``serialize`` go through it. ``jacobi.hamburger_check`` makes the
-same copy and runs the same check itself, from one rank read that its Gram
-reuses. ``from_representation`` and ``recurrence.favard`` make their moments
-exact by construction, so they build their functional through
-``MomentFunctional._exact_hankel``, which skips the copy and the involution
-check and keeps the O(1) field and unit checks.
+``serialize`` go through it. ``jacobi.hamburger_check`` runs the same check
+itself, on the arrays of a view or on one copy of any other mapping, from
+the one read its Gram reuses. ``from_representation`` and
+``recurrence.favard`` make their moments exact by construction, so they
+build their functional through ``MomentFunctional._exact_hankel``, which
+skips the copy and the involution check and keeps the O(1) field and unit
+checks. The tolerance of every positivity decision and kernel sum goes
+through ``_require_tol``, which refuses one that is NaN, infinite or
+negative.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import itertools
+import math
+from collections.abc import ItemsView, Mapping, MutableMapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataIncompleteError, PositivityError, ValidationError
-from .words import (EMPTY, Word, _Table, _table, concat, involution, level_offsets,
-                    rank_groups, reversal, word_at, words_up_to)
+from .words import (EMPTY, Word, _table, concat, involution, level_offsets, rank_groups,
+                    reversal, word_at, word_index, words_up_to)
 
 KINDS = ("hankel", "toeplitz", "generic")
 
@@ -63,32 +73,150 @@ KINDS = ("hankel", "toeplitz", "generic")
 # Hermiticity tolerance of a generic kernel
 SYMMETRY_TOL = 1e-10
 
+
+def _require_tol(tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 _COMPLEX = frozenset([complex])
 
 
-def _complex_moments(moments: dict[Word, complex]) -> dict[Word, complex]:
-    """A copy with complex values, bit-identical to complex() of each.
+def _complex_moments(moments: Mapping[Word, complex]) -> dict[Word, complex]:
+    """A dict copy with complex values, bit-identical to complex() of each.
 
-    ``dict`` keeps the stored hash of every key; only a copy whose values
-    are not all complex is rebuilt, hashing its keys again.
+    ``dict`` keeps the stored hash of every key of a dict; only a copy whose
+    values are not all complex is rebuilt, hashing its keys again. Any other
+    mapping is copied from its items, which a moment view yields from its
+    arrays rather than one ``__getitem__`` per word.
     """
-    out = dict(moments)
+    out = dict(moments) if isinstance(moments, dict) else dict(moments.items())
     if not {*map(type, out.values())} <= _COMPLEX:
         out = {w: complex(s) for w, s in out.items()}
     return out
 
 
-def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int,
+class _MomentView(MutableMapping):
+    """Moments {w: s_w} over one complex array per length 0..top, indexed by rank.
+
+    A read by word is rank arithmetic. Iteration yields the shared-table
+    words in graded-lex order. The view reserves those tables when it is
+    made, which builds no ``Word``, and keeps them while it lives, so the
+    words are built once, by whichever read needs them first, and every
+    Word-keyed list or dict made meanwhile (``words_up_to``, Gram words, a
+    dict of these moments) shares them. The first set or delete turns the
+    view into a plain dict, which it then wraps and which the arrays no
+    longer back; until then ``_ranked`` reads the arrays themselves.
+    """
+
+    __slots__ = ("n_generators", "_arrays", "_tables", "_dict")
+
+    def __init__(self, n_generators: int, arrays: Sequence[np.ndarray]):
+        for a in arrays:
+            a.flags.writeable = False
+        self.n_generators = n_generators
+        self._arrays = tuple(arrays)
+        self._tables = [_table(n, n_generators, build=False) for n in range(1, len(arrays))]
+        self._dict: dict[Word, complex] | None = None
+
+    def __getitem__(self, w):
+        if self._dict is not None:
+            return self._dict[w]
+        if type(w) is Word and len(w) < len(self._arrays):
+            try:
+                return self._arrays[len(w)].item(word_index(w, self.n_generators))
+            except ValueError:  # a letter beyond n_generators
+                pass
+        raise KeyError(w)
+
+    def __iter__(self):
+        if self._dict is not None:
+            return iter(self._dict)
+        N = self.n_generators
+        return itertools.chain((EMPTY,), *(_table(n, N).words
+                                           for n in range(1, len(self._arrays))))
+
+    def __len__(self) -> int:
+        if self._dict is not None:
+            return len(self._dict)
+        return sum(map(len, self._arrays))
+
+    def items(self):
+        return _ViewItems(self)
+
+    def _written(self) -> dict[Word, complex]:
+        if self._dict is None:
+            self._dict = dict(self.items())
+            self._arrays = None
+        return self._dict
+
+    def __setitem__(self, w, s):
+        self._written()[w] = s
+
+    def __delitem__(self, w):
+        del self._written()[w]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return type(self), (self.n_generators, self._arrays or ()), self._dict
+
+    def __setstate__(self, written: dict[Word, complex]):
+        self._dict, self._arrays = written, None
+
+
+class _ViewItems(ItemsView):
+    """(word, moment) pairs of a ``_MomentView``, its words zipped with its arrays."""
+
+    def __iter__(self):
+        view = self._mapping
+        if view._dict is not None:
+            return iter(view._dict.items())
+        return zip(view, itertools.chain.from_iterable(a.tolist() for a in view._arrays))
+
+
+def _ranked(moments: Mapping[Word, complex], n_generators: int) -> tuple:
+    """(rank groups, foreign positions, values) of a moment mapping, read once.
+
+    The groups and foreign positions are those of ``words.rank_groups`` and
+    the values are in the mapping's order. An unwritten ``_MomentView`` of
+    n_generators generators gives them from its arrays, each whole length
+    ranked by position, with no word built; any other mapping is ranked by
+    ``rank_groups``.
+    """
+    N = n_generators
+    arrays = _view_arrays(moments, N)
+    if arrays is None:
+        groups, foreign = rank_groups(moments, N)
+        return groups, foreign, np.fromiter(moments.values(), dtype=complex,
+                                            count=len(moments))
+    offs = level_offsets(N, len(arrays) - 1)
+    groups = {n: (np.arange(offs[n], offs[n + 1]), np.arange(N**n), reversal(n, N))
+              for n in range(len(arrays))}
+    return groups, [], np.concatenate(arrays)
+
+
+def _view_arrays(moments: Mapping[Word, complex], n_generators: int
+                 ) -> tuple[np.ndarray, ...] | None:
+    """The arrays of an unwritten ``_MomentView`` of n_generators generators, else None."""
+    if (type(moments) is _MomentView and moments._dict is None
+            and moments.n_generators == n_generators):
+        return moments._arrays
+    return None
+
+
+def _moment_arrays(moments: Mapping[Word, complex], n_generators: int, top: int,
                    ranks: tuple | None = None) -> list[np.ndarray]:
     """Moments of every word of length <= top, one rank-indexed array per length.
 
     Raises DataIncompleteError naming the first absent word in graded-lex
     order. Stored words with letters beyond n_generators are not read.
-    ``ranks`` is ``rank_groups(moments, n_generators)`` when already read.
+    ``ranks`` is ``_ranked(moments, n_generators)`` when already read.
     """
     N = n_generators
-    groups, _ = rank_groups(moments, N) if ranks is None else ranks
-    vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
+    groups, _, vals = _ranked(moments, N) if ranks is None else ranks
     out = []
     for n in range(top + 1):
         arr = np.zeros(N**n, dtype=complex)
@@ -103,7 +231,7 @@ def _moment_arrays(moments: dict[Word, complex], n_generators: int, top: int,
     return out
 
 
-def _require_finite(moments: dict[Word, complex], vals: np.ndarray) -> None:
+def _require_finite(moments: Mapping[Word, complex], vals: np.ndarray) -> None:
     """Refuse a non-finite moment, naming the first such word in graded-lex order.
 
     ``vals`` holds the values of ``moments`` in its order.
@@ -114,7 +242,7 @@ def _require_finite(moments: dict[Word, complex], vals: np.ndarray) -> None:
         raise ValidationError(f"moment at {w} is not finite ({moments[w]})")
 
 
-def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: float,
+def _involution_defect(moments: Mapping[Word, complex], n_generators: int, tol: float,
                        ranks: tuple | None = None) -> tuple[str, Word, Word] | None:
     """First stored word w whose partner I(w) breaks s_{I(w)} = conj(s_w).
 
@@ -122,21 +250,21 @@ def _involution_defect(moments: dict[Word, complex], n_generators: int, tol: flo
     ("asymmetric", w, I(w)) when |s_{I(w)} - conj(s_w)| exceeds tol times
     max(1, max |s|); w is the first such word in graded-lex order. A word
     with a letter beyond n_generators, and then a non-finite moment, raise
-    ValidationError. ``ranks`` is ``rank_groups(moments, n_generators)``
-    when already read.
+    ValidationError. ``ranks`` is ``_ranked(moments, n_generators)`` when
+    already read; the check reads its value array, and the words of
+    ``moments`` only to name an offender.
 
-    The words of a dict are distinct, so a length whose rank group holds
-    N^n words holds the whole level, as every dict the library builds does:
-    there each word's partner is read through the inverse of the rank
-    permutation. A partial level is matched by sorting its ranks, which
+    The words of a mapping are distinct, so a length whose rank group holds
+    N^n words holds the whole level, as every moment view the library
+    computes does: there each word's partner is read through the inverse of
+    the rank permutation. A partial level is matched by sorting its ranks, which
     allocates nothing of size N^n for a sparse dict with one long word.
     """
     N = n_generators
-    groups, foreign = rank_groups(moments, N) if ranks is None else ranks
+    groups, foreign, vals = _ranked(moments, N) if ranks is None else ranks
     if foreign:
         w = list(moments)[foreign[0]]
         raise ValidationError(f"word {w} uses letters beyond {N} generators")
-    vals = np.fromiter(moments.values(), dtype=complex, count=len(moments))
     _require_finite(moments, vals)
     scale = float(np.max(np.abs(vals), initial=1.0))
     for n in sorted(groups):
@@ -173,9 +301,9 @@ class MomentFunctional:
     n_generators: int
     kind: str
     max_degree: int
-    moments: dict[Word, complex]
+    moments: MutableMapping[Word, complex]
     kernel: dict[tuple[Word, Word], complex] | None = None
-    # rank_groups of moments, set only by _exact_hankel for a private copy
+    # _ranked(moments), set only by _exact_hankel for moments no caller can change
     _ranks = None
 
     def __post_init__(self):
@@ -225,26 +353,23 @@ class MomentFunctional:
 
     @classmethod
     def _exact_hankel(cls, n_generators: int, max_degree: int,
-                      moments: dict[Word, complex], tables: Sequence[_Table] = (),
+                      moments: MutableMapping[Word, complex],
                       ranks: tuple | None = None) -> "MomentFunctional":
         """A hankel functional on moments that need no copy and no involution check.
 
-        For the output of ``_hankel_moments`` (complex values, s_e = 1,
-        s_{I(w)} = conj(s_w) exactly and every letter in range), or for
-        ``hamburger_check``'s own copy once it has checked the involution.
-        The field and unit checks run; the copy and the involution check are
-        skipped. The trust belongs to this construction only: ``f.moments``
-        is a plain dict, and a later check of it
-        (``hamburger_check(f.moments, ...)``) runs in full. The functional
-        holds ``tables``, the shared word tables its moments are keyed by, so
-        they are reused while it lives. ``ranks`` is
-        ``rank_groups(moments, n_generators)`` for moments no caller can
-        change; ``gram`` then reuses it.
+        For the moment view of ``_hankel_moments`` (s_e = 1, s_{I(w)} =
+        conj(s_w) exactly and every letter in range), kept as it is, or for
+        the moments ``hamburger_check`` has checked itself. The field and
+        unit checks run; the copy and the involution check are skipped. The
+        trust belongs to this construction only: a caller may edit
+        ``f.moments``, and a later check of it (``hamburger_check(f.moments,
+        ...)``) runs in full. ``ranks`` is ``_ranked(moments,
+        n_generators)`` for moments no caller can change; ``gram`` then
+        reuses it.
         """
         f = cls.__new__(cls)
         f._exact = True
         f.__init__(n_generators, "hankel", max_degree, moments)
-        f._tables = tuple(tables)
         if ranks is not None:
             f._ranks = ranks
         return f
@@ -367,8 +492,10 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
     certificate is the unit eigenvector for the minimal eigenvalue, keyed by
     words, a polynomial of near-zero norm against the functional. The
     reported minimum is the eigenvalue decided on. ``G`` is the Gram matrix
-    at the level when the caller has built it already.
+    at the level when the caller has built it already. A tol that is NaN,
+    infinite or negative raises ValidationError.
     """
+    _require_tol(tol)
     G = _gram_at(f, level, G)
     lam, threshold = _min_eigenvalue(G, tol)
     if lam > threshold:
@@ -419,7 +546,7 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
         raise ValidationError("v must be a unit vector")
 
     vecs = _orbit(X, v[None, :], (max_degree + 1) // 2)
-    return MomentFunctional._exact_hankel(n, max_degree, *_hankel_moments(vecs, n, max_degree))
+    return MomentFunctional._exact_hankel(n, max_degree, _hankel_moments(vecs, n, max_degree))
 
 
 def _orbit(mats: Sequence[np.ndarray], x_e: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -430,30 +557,25 @@ def _orbit(mats: Sequence[np.ndarray], x_e: np.ndarray, levels: int) -> list[np.
     return vecs
 
 
-def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int
-                    ) -> tuple[dict[Word, complex], list[_Table]]:
+def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int) -> _MomentView:
     """Moments s_w = <x_w, x_e> to length top of vectors with x_{k.u} = Y_k x_u.
 
     ``vecs[n][r]`` is x_w for the length-n word of rank r, with Y self-adjoint,
     for n up to h >= top / 2. A word of length m splits as w = p.q with
     |q| = min(h, m), so s_w = <x_q, x_{I(p)}> and each length is one matrix
     product. The symmetry s_{I(w)} = conj(s_w), exact in exact arithmetic, is
-    then made exact in floats, and s_e is set to 1, so the result may go to
-    ``MomentFunctional._exact_hankel`` together with the word tables it is
-    keyed by.
+    then made exact in floats, and s_e is set to 1, so the view of the
+    arrays may go to ``MomentFunctional._exact_hankel``.
     """
     N = n_generators
     h = len(vecs) - 1
-    out = {EMPTY: 1.0 + 0.0j}
-    tables = []
+    out = [np.ones(1, dtype=complex)]
     for m in range(1, top + 1):
         b = min(h, m)
         a = m - b
         s = (vecs[a][reversal(a, N)].conj() @ vecs[b].T).reshape(-1)
-        s = (s + np.conj(s[reversal(m, N)])) / 2.0
-        tables.append(_table(m, N))
-        out.update(zip(tables[-1].words, s.tolist()))
-    return out, tables
+        out.append((s + np.conj(s[reversal(m, N)])) / 2.0)
+    return _MomentView(N, out)
 
 
 def inner_product(f: MomentFunctional, p: dict[Word, complex], q: dict[Word, complex]) -> complex:

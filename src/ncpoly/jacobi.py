@@ -21,7 +21,7 @@ constructive witness (the recurrence blocks themselves).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
 from .functional import (SYMMETRY_TOL, MomentFunctional, _complex_moments,
-                         _involution_defect, _min_eigenvalue, _orbit, gram)
+                         _involution_defect, _min_eigenvalue, _orbit, _ranked,
+                         _require_tol, _view_arrays, gram)
 from .orthopoly import _cholesky_basis
 from .recurrence import RecurrenceCoeffs, _band, extract
-from .words import EMPTY, Word, rank_groups
+from .words import EMPTY, Word
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class HamburgerResult:
     reason: str | None = None
 
 
-def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
+def hamburger_check(moments: Mapping[Word, complex], n_generators: int, level: int,
                     tol: float = 1e-9) -> HamburgerResult:
     """Decide whether a finite moment set extends to a positive functional.
 
@@ -173,20 +174,27 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
     is a necessary condition checked first and reported as a refusal rather
     than an input error. Strict positivity additionally yields a witness: the
     recurrence blocks of the orthonormal family, from which a concrete
-    operator model can be assembled.
+    operator model can be assembled. A tol that is NaN, infinite or negative
+    raises ValidationError.
 
-    The moments are copied once, as by the ``MomentFunctional`` constructor,
-    and their ranks read once: the involution check, the classification of
-    its refusal and the Gram gather share that read.
+    An unwritten moment view of the library (``from_representation``,
+    ``recurrence.favard``) is read through its rank arrays, with no copy and
+    no word built; any other mapping is copied once, as by the
+    ``MomentFunctional`` constructor, and its ranks read once. Either way
+    the involution check, the classification of its refusal and the Gram
+    gather share that one read.
     """
-    if any(map(isinstance, moments, repeat(str))):
-        moments = {Word.parse(w) if isinstance(w, str) else w: s for w, s in moments.items()}
+    _require_tol(tol)
+    if _view_arrays(moments, n_generators) is None:
+        if any(map(isinstance, moments, repeat(str))):
+            moments = {Word.parse(w) if isinstance(w, str) else w: s
+                       for w, s in moments.items()}
+        moments = _complex_moments(moments)
     # the refusals in order: a foreign letter is an input error, a missing
     # partner or s_e an input gap, an asymmetric pair a "no"; then the
     # constructor's field and unit checks
-    vals = _complex_moments(moments)
-    ranks = rank_groups(vals, n_generators)
-    defect = _involution_defect(vals, n_generators, SYMMETRY_TOL, ranks)
+    ranks = _ranked(moments, n_generators)
+    defect = _involution_defect(moments, n_generators, SYMMETRY_TOL, ranks)
     if defect is not None:
         what, w, rev = defect
         if what == "missing":
@@ -195,12 +203,12 @@ def hamburger_check(moments: dict[Word, complex], n_generators: int, level: int,
         return HamburgerResult(
             positive=False, strictly_positive=False, min_eigenvalue=float("nan"),
             reason=f"involution symmetry fails at {w}: "
-                   f"s_I(w) = {vals[rev]:.6g}, conj(s_w) = {np.conj(vals[w]):.6g}")
-    if EMPTY not in vals:
+                   f"s_I(w) = {moments[rev]:.6g}, conj(s_w) = {np.conj(moments[w]):.6g}")
+    if EMPTY not in moments:
         raise DataIncompleteError("e", "empty-word moment missing")
     # with no foreign word, every stored length is a key of the rank groups
     top = max(ranks[0])
-    f = MomentFunctional._exact_hankel(n_generators, top, vals, ranks=ranks)
+    f = MomentFunctional._exact_hankel(n_generators, top, moments, ranks)
     G = gram(f, level)
     lam, thr = _min_eigenvalue(G, tol)
     if lam < -thr:

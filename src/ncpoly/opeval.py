@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, MembershipError, ValidationError
-from .functional import MomentFunctional, gram
+from .functional import MomentFunctional, _require_tol, gram
 from .orthopoly import OrthoBasis, _phi_table
 from .recurrence import RecurrenceCoeffs
 from .words import Word, global_index, level_offsets, words_up_to
@@ -164,8 +164,10 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     ``tail_bound``, or where post_L <= min(tol, eps ||S_L||_F), reporting
     tol: the truncation then lies below the tolerance and below the rounding
     of the partial sum S_L itself. Raises once the open ball condition
-    r < 1 fails or neither rule holds within ``cap`` levels.
+    r < 1 fails or neither rule holds within ``cap`` levels. A tol that is
+    NaN, infinite or negative raises ValidationError, as in every kernel sum.
     """
+    _require_tol(tol)
     mats = np.asarray(mats, dtype=complex)
     mats2 = np.asarray(mats2, dtype=complex)
     T = np.asarray(T, dtype=complex)
@@ -253,6 +255,7 @@ def _check_compatible(t: OperatorTuple, t2: OperatorTuple) -> None:
 def szego_ball(t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
                cap: int = SANDWICH_CAP) -> KernelResult:
     """K(Z, Z') = sum_sigma Z_sigma Z'_sigma* for two ball points."""
+    _require_tol(tol)
     _check_compatible(t, t2)
     r = _ball_row_norm(t) * _ball_row_norm(t2)
     return _sandwich(t.mats, t2.mats, np.eye(t.dim, dtype=complex), r, tol, cap)
@@ -291,6 +294,7 @@ def f_sandwich(t: OperatorTuple, t2: OperatorTuple, S: np.ndarray,
     Z'_sigma* with Z, Z' the Cayley preimages. Linear in S, and inverse to
     S(T) = (W_N T - T W'_N*)/(2i) - sum_{k<N} W_k T W'_k*.
     """
+    _require_tol(tol)
     _check_compatible(t, t2)
     Z = cayley_inverse(t)
     Z2 = cayley_inverse(t2)
@@ -331,6 +335,7 @@ def reproduction_check(t: OperatorTuple, t2: OperatorTuple, T: np.ndarray,
     half-space f_sandwich inverts the map S(T) documented there. The returned
     residual is the max-abs gap between the recovered matrix and T.
     """
+    _require_tol(tol)
     _check_compatible(t, t2)
     T = np.asarray(T, dtype=complex)
     region = _resolve_region(t)
@@ -440,6 +445,8 @@ def _cd_terms(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     if coeffs.n_generators != basis.n_generators:
         raise ValidationError(f"recurrence blocks for {coeffs.n_generators} generators, "
                               f"basis for {basis.n_generators}")
+    if n < 0:
+        raise ValidationError(f"level n must be >= 0, got {n}")
     if coeffs.levels < n + 1:
         raise ValidationError(f"need recurrence blocks to level {n + 1}")
     K, phis, phis2 = _kernel_terms(basis, n, n + 1, t, t2)
@@ -476,6 +483,7 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     MembershipError only after K_n and the bracket are built; mismatched
     tuples or recurrence blocks raise ValidationError before it.
     """
+    _require_tol(tol)
     K, bracket = _cd_terms(basis, coeffs, n, t, t2)
     S = bracket / 2j - _kernel_map(t.mats[:-1], t2.mats[:-1])(K)
     out = f_sandwich(t, t2, S, tol, cap)

@@ -224,5 +224,5 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
     # LU of the upper triangular M^T swaps no rows, so row 0 stays exactly e_0
     A = np.linalg.inv(np.concatenate(cols).T).T
     np.fill_diagonal(A, A.diagonal().real)
-    f = MomentFunctional._exact_hankel(N, 2 * L, *_hankel_moments(cols, N, 2 * L))
+    f = MomentFunctional._exact_hankel(N, 2 * L, _hankel_moments(cols, N, 2 * L))
     return OrthoBasis._from_matrix(N, L, A), f

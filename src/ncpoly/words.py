@@ -11,22 +11,25 @@ reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
 ``reversal`` and ``shift_map`` tabulate I(w) and k.u. ``Word`` objects are
 built only at the edge, where dicts keyed by words come in or go out.
 ``rank_groups`` ranks a dict's words: by position where they are the live
-shared tables below, in order, and by their letters otherwise.
+shared tables below, in order (as in ``words_up_to`` and a dict of a
+moment view), and by their letters otherwise.
 
 The words going out are shared: one table of ``Word``s per (length, N),
-built on first use and kept while a result holds it. A functional whose
-moments the library computes (``from_representation``, ``recurrence.favard``)
-holds the tables of its words, and while it lives ``enumerate_level``,
-``words_up_to`` and every Word-keyed dict or list made from rank arrays
-(moments, Gram words, basis rows, point evaluations) reuse them instead of
-constructing words again. The cache refers to a table only weakly, so the
-words go when the last holder goes and the library keeps no ``Word`` of its
-own; with nothing held, every call builds its words afresh. A shared word is
-an ordinary ``Word``: equal to, and hashing like, one built by hand. The
-library generates its letters (``itertools.product`` over 1..N), so a table
-builds its words without re-checking them, as ``Word.parse`` does once its
-own checks pass; ``Word(...)`` and ``Word.of`` check and normalize every
-other word.
+built on first use and kept while a result holds it. A functional's moments
+are not keyed by built words: the moment view of ``from_representation``
+and ``recurrence.favard`` keeps rank arrays and reserves the tables of its
+lengths (``_table(..., build=False)``, which builds no word), so the words
+are built at most once, by the first read that needs them, and while the
+view lives ``enumerate_level``, ``words_up_to`` and every Word-keyed dict or
+list made from rank arrays (Gram words, basis rows, point evaluations, a
+dict of the moments) reuse them. The cache refers to a table only weakly,
+so the words go when the last holder goes and the library keeps no
+``Word`` of its own; with nothing held, every call builds its words afresh.
+A shared word is an ordinary ``Word``: equal to, and hashing like, one
+built by hand. The library generates its letters (``itertools.product``
+over 1..N), so a table builds its words without re-checking them, as
+``Word.parse`` does once its own checks pass; ``Word(...)`` and ``Word.of``
+check and normalize every other word.
 
 The rank tables are different: ``reversal`` and ``shift_map`` are pure
 functions of (n, N) and (N, level), so each is built once per process,
@@ -138,18 +141,6 @@ def concat(u: Word, v: Word) -> Word:
     return Word(u.letters + v.letters)
 
 
-def successor(w: Word, n_generators: int) -> Word:
-    """Next word in graded-lex order over n_generators letters."""
-    if n_generators < 1:
-        raise ValueError("n_generators must be >= 1")
-    letters = list(w.letters)
-    for i in range(len(letters) - 1, -1, -1):
-        if letters[i] < n_generators:
-            letters[i] += 1
-            return Word(tuple(letters[: i + 1]) + (1,) * (len(letters) - i - 1))
-    return Word((1,) * (len(letters) + 1))
-
-
 def predecessor(w: Word, n_generators: int) -> Word:
     """Previous word in graded-lex order; the empty word has none."""
     if n_generators < 1:
@@ -165,11 +156,15 @@ def predecessor(w: Word, n_generators: int) -> Word:
 
 
 class _Table:
-    """The words of one length by rank; holding it keeps them shared."""
+    """The words of one length by rank; holding it keeps them shared.
+
+    ``words`` is None while the table is only reserved (``_table(...,
+    build=False)``); the next ``_table`` call for it builds them.
+    """
 
     __slots__ = ("words", "__weakref__")
 
-    def __init__(self, words: tuple[Word, ...]):
+    def __init__(self, words: tuple[Word, ...] | None):
         self.words = words
 
 
@@ -178,27 +173,33 @@ _TABLES: weakref.WeakValueDictionary[tuple[int, int], _Table] = weakref.WeakValu
 _BUILD = threading.Lock()
 
 
-def _table(n: int, n_generators: int) -> _Table:
+def _table(n: int, n_generators: int, build: bool = True) -> _Table:
     """The shared words of length n, lexicographically.
 
-    A table is built when no live one exists, under a lock, from the letters
-    of ``itertools.product`` through ``_word``, which does not re-check them
-    (``Word(...)`` checks every word the library did not generate). It is
-    published complete, so concurrent first calls read one table and a
-    failed build publishes none. It lives as long as a caller holds the
-    returned object.
+    The words are built when the live table has none, or no table is live,
+    under a lock, from the letters of ``itertools.product`` through
+    ``_word``, which does not re-check them (``Word(...)`` checks every word
+    the library did not generate). They are published complete, so
+    concurrent first calls read one tuple and a failed build publishes
+    none. With ``build=False`` the live table is returned as it is, or a new
+    one is published with no words yet, which costs no ``Word``: a holder
+    reserves the table, and every later call reads the same words while it
+    holds it. A table lives as long as a caller holds the returned object.
     """
     key = (n, n_generators)
     table = _TABLES.get(key)
-    if table is None:
+    if table is None or (build and table.words is None):
         if n < 0:
             raise ValueError("level must be >= 0")
         with _BUILD:
             table = _TABLES.get(key)
-            if table is None:
-                table = _Table(tuple(map(_word, itertools.product(
-                    range(1, n_generators + 1), repeat=n))))
-                _TABLES[key] = table
+            if table is None or (build and table.words is None):
+                words = tuple(map(_word, itertools.product(
+                    range(1, n_generators + 1), repeat=n))) if build else None
+                if table is None:
+                    table = _TABLES[key] = _Table(words)
+                else:
+                    table.words = words
     return table
 
 
@@ -294,8 +295,8 @@ def rank_groups(words, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
 
     A leading run of whole levels is ranked by position: the empty word
     first, then at each length n the words of the live shared table, the
-    same objects in the same order (as in the library's moment dicts and
-    ``words_up_to``), rank r at offset r. The walk stops at the first level
+    same objects in the same order (as in ``words_up_to`` and a dict made
+    from a moment view), rank r at offset r. The walk stops at the first level
     that does not match; the words from there on are ranked by their letters.
     """
     N = n_generators
@@ -307,7 +308,8 @@ def rank_groups(words, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
             same = words[0] == EMPTY
         else:
             table = _TABLES.get((n, N))
-            same = table is not None and all(map(operator.is_, words[p:p + N**n], table.words))
+            same = (table is not None and table.words is not None
+                    and all(map(operator.is_, words[p:p + N**n], table.words)))
         if not same:
             break
         head[n] = (np.arange(p, p + N**n), np.arange(N**n), reversal(n, N))

@@ -9,6 +9,7 @@ operator models, dense matrix powers instead of block assembly.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -129,3 +130,39 @@ def gram_schmidt_basis(kernel, words: list[tuple[int, ...]]) -> np.ndarray:
             v = -v
         rows[j] = v
     return rows
+
+
+def successor(letters: tuple[int, ...], n_gen: int) -> tuple[int, ...]:
+    """Next word in graded-lex order over n_gen letters."""
+    if n_gen < 1:
+        raise ValueError("n_gen must be >= 1")
+    out = list(letters)
+    for i in range(len(out) - 1, -1, -1):
+        if out[i] < n_gen:
+            out[i] += 1
+            return tuple(out[: i + 1]) + (1,) * (len(out) - i - 1)
+    return (1,) * (len(out) + 1)
+
+
+def rank_array_moments(arrays, n_gen: int) -> dict[tuple[int, ...], complex]:
+    """{letters: value} read word by word off one array per length.
+
+    The value of a word is the entry of its length's array at the word's
+    position among the sorted words of that length.
+    """
+    out = {}
+    for n, arr in enumerate(arrays):
+        for r, w in enumerate(sorted(product(range(1, n_gen + 1), repeat=n))):
+            out[w] = complex(arr[r])
+    return out
+
+
+def representation_moments(mats, v, top: int) -> dict[tuple[int, ...], complex]:
+    """<X_w v, v> for every word of length <= top, one dense product chain per word."""
+    out = {}
+    for w in all_words(top, len(mats)):
+        x = np.asarray(v, dtype=complex)
+        for letter in reversed(w):
+            x = mats[letter - 1] @ x
+        out[w] = complex(np.vdot(v, x))
+    return out

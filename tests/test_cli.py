@@ -281,3 +281,34 @@ def test_malformed_arguments_exit_2(capsys, catalan_file, nan_point_file, argv):
     code, rep = run(capsys, *argv.format(moments=catalan_file, nan_point=nan_point_file).split())
     assert code == 2
     assert rep["status"] == "error"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [
+    "hamburger --moments {moments} --level 4",
+    "kernel --op szego-ball --random-points --n-gen 2 --dim 3",
+    "kernel --op szego-siegel --random-points --n-gen 2 --dim 3",
+    "kernel --op reproduce --random-points --n-gen 2 --dim 3",
+], ids=["hamburger", "szego-ball", "szego-siegel", "reproduce"])
+def test_a_bad_tol_exits_2(capsys, catalan_file, argv, tol):
+    code, rep = run(capsys, *argv.format(moments=catalan_file).split(), "--tol", tol)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "tol must be a finite number >= 0" in rep["metrics"]["message"]
+
+
+@pytest.mark.parametrize("op", ["cd-inner", "cd-full"])
+@pytest.mark.parametrize("extra", [("--n", "-1"), ("--n", "1", "--tol", "nan")],
+                         ids=["n=-1", "tol=nan"])
+def test_kernel_cd_refuses_a_negative_level_or_bad_tol(capsys, tmp_path, hankel_file, op,
+                                                        extra):
+    basis = str(tmp_path / "basis.json")
+    coeffs = str(tmp_path / "coeffs.json")
+    code, _ = run(capsys, "recurrence", "--moments", hankel_file,
+                  "--levels", "2", "--out", coeffs, "--out-basis", basis)
+    assert code == 0
+    code, rep = run(capsys, "kernel", "--op", op, "--basis", basis, "--coeffs", coeffs,
+                    "--random-points", "--dim", "2", "--n-gen", "2", *extra)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert ("level n must be >= 0" if "-1" in extra else "tol must be") in rep["metrics"]["message"]

@@ -290,7 +290,7 @@ def test_pipeline_moments_are_exact_and_checked_only_at_the_edge(monkeypatch):
     assert calls == []
     for g in (f, f2):
         assert _involution_defect(g.moments, 2, 0.0) is None
-        assert g.moments[EMPTY] == 1 and type(g.moments) is dict
+        assert g.moments[EMPTY] == 1 and type(g.moments) is functional._MomentView
         assert g == MomentFunctional(n_generators=g.n_generators, kind=g.kind,
                                      max_degree=g.max_degree, moments=g.moments)
     calls.clear()
@@ -348,3 +348,13 @@ def test_from_representation_refuses_a_non_finite_vector(bad):
     v[1] = bad
     with pytest.raises(ValidationError, match="unit vector"):
         from_representation(mats, v, max_degree=2)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
+def test_strict_positivity_refuses_a_bad_tol(tol):
+    mats, v = random_representation(np.random.default_rng(51), 2, 8)
+    f = from_representation(mats, v, max_degree=2)
+    for check in (strict_positivity, require_strict_positivity):
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            check(f, 1, tol)
+    assert strict_positivity(f, 1, 0.0).ok

@@ -302,3 +302,12 @@ def test_build_refuses_non_finite_blocks(block):
     coeffs = scalar_blocks(1, a_vals, b_vals)
     with pytest.raises(ValidationError, match=f"{block} block \\(n=1, k=1\\) has a non-finite"):
         build(coeffs, 1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_hamburger_refuses_a_bad_tol(tol):
+    # NaN used to answer "yes, not strict" on a strictly positive set
+    moments = {Word((1,) * n): s for n, s in enumerate(gaussian_moments(8))}
+    with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+        hamburger_check(moments, 1, 4, tol=tol)
+    assert hamburger_check(moments, 1, 4, tol=0.0).strictly_positive

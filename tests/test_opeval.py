@@ -660,3 +660,35 @@ def test_random_tuple_margins():
     assert abs(membership(Z, "ball").lambda_min - 0.25) < 1e-10
     W = random_siegel_tuple(rng, 2, 3, margin=0.3)
     assert membership(W, "siegel").inside
+
+
+BAD_TOLS = [float("nan"), float("inf"), -1e-12]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_kernel_sums_refuse_a_bad_tol(monkeypatch, tol):
+    _, _, basis, coeffs = rep_setup()
+    rng = np.random.default_rng(69)
+    Z, Z2 = (random_ball_tuple(rng, 2, 2, margin=0.4) for _ in range(2))
+    W, W2 = (random_siegel_tuple(rng, 2, 2, margin=0.4) for _ in range(2))
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh", "norm")
+    for run in (lambda: ball_sandwich(Z.mats, Z2.mats, np.eye(2), tol),
+                lambda: szego_ball(Z, Z2, tol),
+                lambda: szego_siegel(W, W2, tol),
+                lambda: f_sandwich(W, W2, np.eye(2), tol),
+                lambda: reproduction_check(Z, Z2, np.eye(2), tol),
+                lambda: reproduction_check(W, W2, np.eye(2), tol),
+                lambda: cd_full_check(basis, coeffs, 2, W, W2, tol)):
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            run()
+    assert calls == []  # refused before any decomposition
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_cd_checks_refuse_a_negative_level(n):
+    _, _, basis, coeffs = rep_setup()
+    rng = np.random.default_rng(70)
+    t, t2 = (random_siegel_tuple(rng, 2, 2, margin=0.4) for _ in range(2))
+    for check in (cd_inner_identity, cd_full_check):
+        with pytest.raises(ValidationError, match=f"level n must be >= 0, got {n}"):
+            check(basis, coeffs, n, t, t2)

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import successor
+
 from ncpoly import words as words_mod
 from ncpoly.errors import ValidationError
 from ncpoly.functional import from_representation
 from ncpoly.jacobi import hamburger_check
 from ncpoly.recurrence import favard
 from ncpoly.words import (EMPTY, Word, concat, enumerate_level, global_index,
-                          involution, predecessor, successor, word_at,
-                          word_index, words_up_to)
+                          involution, predecessor, word_at, word_index, words_up_to)
 
 
 def test_empty_word():
@@ -77,7 +78,7 @@ def test_successor_walks_the_whole_order():
     ws = words_up_to(3, 2)
     cur = EMPTY
     for expected in ws[1:]:
-        cur = successor(cur, 2)
+        cur = Word(successor(cur.letters, 2))
         assert cur == expected
 
 
@@ -88,7 +89,7 @@ def test_predecessor_inverts_successor():
         N = int(rng.integers(1, 4))
         letters = tuple(int(rng.integers(1, N + 1)) for _ in range(n))
         w = Word(letters)
-        assert successor(predecessor(w, N), N) == w
+        assert successor(predecessor(w, N).letters, N) == w.letters
 
 
 def test_predecessor_of_empty_fails():
@@ -98,7 +99,7 @@ def test_predecessor_of_empty_fails():
 
 def test_predecessor_crosses_levels():
     assert predecessor(Word((1, 1)), 2) == Word((2,))
-    assert successor(Word((2, 2)), 2) == Word((1, 1, 1))
+    assert successor((2, 2), 2) == (1, 1, 1)
 
 
 def test_word_index_and_word_at():
@@ -200,11 +201,18 @@ def test_a_functional_holds_the_words_of_its_moments(counted_words):
     calls = counted_words
     mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
     f = from_representation(mats, np.array([1.0, 0.0]), max_degree=4)
-    assert len(calls) == 30  # levels 1 to 4; the empty word is EMPTY
+    # the moments are rank arrays: their view reserves the tables of
+    # lengths 1 to 4 and builds no word
+    assert calls == [] and len(words_mod._TABLES) == 4
+    key = Word.of(1, 2)
     calls.clear()
+    assert f.moments[key] == 0.0 and calls == []
+    # the first read of the words builds them once, into the reserved tables
     ws = words_up_to(4, 2)
-    assert len(calls) == 1 and all(w in f.moments for w in ws)
-    assert all(a is b for a, b in zip(ws[1:], list(f.moments)[1:]))
+    assert len(calls) == 1 + 30  # the empty word's table is not reserved
+    calls.clear()
+    assert all(w in f.moments for w in ws) and calls == []
+    assert all(a is b for a, b in zip(ws[1:], list(f.moments)[1:])) and calls == []
     del f
     gc.collect()
     assert len(words_mod._TABLES) == 0
@@ -228,10 +236,10 @@ def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
         calls.clear()
         pipeline()
         counts.append(len(calls))
-    # favard's moments, the Gram's words and the words of length <= 3 reuse
-    # the tables of from_representation's functional; only the two level-0
-    # words (the Gram's and words_up_to's) are new
-    assert counts == [30 + 2] * 3
+    # no moment is keyed by a built word: the Gram's words (lengths <= 2) and
+    # the words of length <= 3 are built once, into the tables the moment
+    # views reserve, plus the two level-0 words (the Gram's and words_up_to's)
+    assert counts == [1 + 6 + 1 + 8] * 3
 
 
 def test_a_failed_build_publishes_no_table(monkeypatch):
@@ -273,6 +281,34 @@ def test_concurrent_first_calls_read_one_complete_table(counted_words):
     assert len(got) == 4 and all(t is got[0] for t in got)
     assert len(got[0].words) == 2**11 and len(counted_words) == 2**11
     assert words_mod._TABLES[11, 2] is got[0]
+
+
+def test_concurrent_reads_of_a_reserved_table_build_its_words_once(counted_words):
+    reserved = words_mod._table(11, 2, build=False)
+    assert reserved.words is None and counted_words == []
+    # a reservation never takes words away, and a reserved table stays the live one
+    assert words_mod._table(11, 2, build=False) is reserved
+    got = []
+    start = threading.Barrier(4, timeout=60)
+
+    def read(build):
+        start.wait()
+        got.append(words_mod._table(11, 2, build=build))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k % 2 == 0,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(t is reserved for t in got)
+    assert len(reserved.words) == 2**11 and len(counted_words) == 2**11
+    assert enumerate_level(11, 2)[5] is reserved.words[5]
 
 
 def test_shared_words_are_ordinary_words():
