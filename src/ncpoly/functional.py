@@ -18,44 +18,40 @@ polynomials P, Q therefore have inner product <P, Q> = q^H G p.
 
 A functional the library computes (``from_representation``,
 ``recurrence.favard``) keeps its moments as one complex array per length,
-indexed by graded-lex rank; ``f.moments`` is a view of them keyed by
-``Word`` (``_MomentView``), read by rank arithmetic and iterated over the
-shared word tables, which callers may still change: the first edit turns it
-into the plain dict it then wraps. Every other functional keeps the dict it
-was given, copied. A computation reads a moment mapping once
-(``_ranked``): the arrays of an unwritten view straight, with no word read
-or built, and any other mapping by ``words.rank_groups``, by position where
-its keys are the live shared word tables in graded-lex order and by each
-word's letters otherwise. That read is kept only on
-``jacobi.hamburger_check``'s own functional, which carries it from its
+indexed by graded-lex rank; ``f.moments`` is a ``Word``-keyed view of them
+(``_MomentView``), read by rank arithmetic and iterated over the shared word
+tables, that turns into the plain dict it wraps on the first edit. Every
+other functional keeps a copy of the dict it was given. A computation reads
+a moment mapping once (``_ranked``): an unwritten view's arrays straight,
+with no word read or built, any other mapping by ``words.rank_groups``. Only
+``jacobi.hamburger_check``'s own functional keeps that read, from its
 involution check to its one Gram, so no read of moments a caller can edit
-can go stale. The hankel Gram is then a block gather: block (i, j) is the
-length-(i + j) moment array reshaped to N^i x N^j, its rows permuted by the
-reversal of the length-i words. The toeplitz Gram places c_{j-i} along the prefix blocks, and the
-involution checks compare each stored word with its reversal rank by rank.
-The vectors X_w v of an operator model come from one orbit routine
+goes stale. The hankel Gram is one gather from the graded-lex moment vector
+and its conjugate, through an index table memoized per (N, level)
+(``_hankel_index``); the toeplitz Gram places c_{j-i} along the prefix
+blocks; the involution check compares the leading whole levels with their
+gather through the concatenated ``reversal`` and matches a partial level by
+sorting. The vectors X_w v of an operator model come from one orbit routine
 (``_orbit``, also behind ``jacobi.JacobiFamily.orbit`` and ``recurrence.favard``),
 their moments one length at a time as one matrix product (``_hankel_moments``).
 
 Moments are validated where they enter from outside: the ``MomentFunctional``
-constructor copies them (``dict`` keeps each key's stored hash; values are
-made complex only when some value is not one) and checks s_e = 1, that every
-moment is finite and, for the hankel kind, every involution partner and the
-symmetry s_{I(w)} = conj(s_w) within ``SYMMETRY_TOL`` (``_involution_defect``,
-which also reads finiteness from its one value array); the loaders in
-``serialize`` go through it. ``jacobi.hamburger_check`` runs the same check
-itself, on the arrays of a view or on one copy of any other mapping, from
-the one read its Gram reuses. ``from_representation`` and
-``recurrence.favard`` make their moments exact by construction, so they
-build their functional through ``MomentFunctional._exact_hankel``, which
-skips the copy and the involution check and keeps the O(1) field and unit
-checks. The tolerance of every positivity decision and kernel sum goes
-through ``_require_tol``, which refuses one that is NaN, infinite or
-negative.
+constructor copies them (``dict`` keeps each key's stored hash) and checks
+s_e = 1, that every moment is finite and, for the hankel kind, every
+involution partner and the symmetry s_{I(w)} = conj(s_w) within
+``SYMMETRY_TOL`` (``_involution_defect``); the loaders in ``serialize`` go
+through it, and ``jacobi.hamburger_check`` runs the same check on the read
+its Gram reuses. ``from_representation`` and ``recurrence.favard`` make their
+moments exact by construction and build their functional through
+``MomentFunctional._exact_hankel``, which skips the copy and the involution
+check. Every positivity decision, region membership test, kernel sum and
+Szego ladder cross-check refuses a tolerance that is NaN, infinite or
+negative (``_require_tol``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import ItemsView, Mapping, MutableMapping, Sequence
@@ -178,24 +174,21 @@ class _ViewItems(ItemsView):
 
 
 def _ranked(moments: Mapping[Word, complex], n_generators: int) -> tuple:
-    """(rank groups, foreign positions, values) of a moment mapping, read once.
+    """(rank groups, foreign positions, values, lex) of a moment mapping, read once.
 
-    The groups and foreign positions are those of ``words.rank_groups`` and
-    the values are in the mapping's order. An unwritten ``_MomentView`` of
-    n_generators generators gives them from its arrays, each whole length
-    ranked by position, with no word built; any other mapping is ranked by
-    ``rank_groups``.
+    The values are in the mapping's order, and those of the words of the
+    first ``lex`` lengths open them in graded-lex order; the groups and
+    foreign positions are those of ``words.rank_groups`` for the other words.
+    An unwritten ``_MomentView`` of n_generators generators is all lex, read
+    from its arrays with no word built; any other mapping has lex 0.
     """
     N = n_generators
     arrays = _view_arrays(moments, N)
     if arrays is None:
         groups, foreign = rank_groups(moments, N)
         return groups, foreign, np.fromiter(moments.values(), dtype=complex,
-                                            count=len(moments))
-    offs = level_offsets(N, len(arrays) - 1)
-    groups = {n: (np.arange(offs[n], offs[n + 1]), np.arange(N**n), reversal(n, N))
-              for n in range(len(arrays))}
-    return groups, [], np.concatenate(arrays)
+                                            count=len(moments)), 0
+    return {}, [], np.concatenate(arrays), len(arrays)
 
 
 def _view_arrays(moments: Mapping[Word, complex], n_generators: int
@@ -207,27 +200,28 @@ def _view_arrays(moments: Mapping[Word, complex], n_generators: int
     return None
 
 
-def _moment_arrays(moments: Mapping[Word, complex], n_generators: int, top: int,
-                   ranks: tuple | None = None) -> list[np.ndarray]:
-    """Moments of every word of length <= top, one rank-indexed array per length.
+def _lex_values(ranks: tuple, n_generators: int, top: int) -> np.ndarray:
+    """Moments of every word of length <= top, in one graded-lex vector, from ``_ranked``.
 
     Raises DataIncompleteError naming the first absent word in graded-lex
     order. Stored words with letters beyond n_generators are not read.
-    ``ranks`` is ``_ranked(moments, n_generators)`` when already read.
     """
     N = n_generators
-    groups, _, vals = _ranked(moments, N) if ranks is None else ranks
-    out = []
-    for n in range(top + 1):
-        arr = np.zeros(N**n, dtype=complex)
-        stored = np.zeros(N**n, dtype=bool)
-        if n in groups:
-            pos, ranks, _ = groups[n]
-            arr[ranks] = vals[pos]
-            stored[ranks] = True
-        if not stored.all():
-            raise DataIncompleteError(str(word_at(n, int(np.argmin(stored)), N)))
-        out.append(arr)
+    groups, _, vals, lex = ranks
+    offs = level_offsets(N, top)
+    if lex > top:
+        return vals[:offs[-1]]
+    out = np.zeros(offs[-1], dtype=complex)
+    stored = np.zeros(offs[-1], dtype=bool)
+    out[:offs[lex]], stored[:offs[lex]] = vals[:offs[lex]], True
+    for n, (pos, r, _) in groups.items():
+        if n <= top:
+            out[offs[n] + r] = vals[pos]
+            stored[offs[n] + r] = True
+    if not stored.all():
+        i = int(np.argmin(stored))
+        n = int(np.searchsorted(offs, i, "right")) - 1
+        raise DataIncompleteError(str(word_at(n, i - offs[n], N)))
     return out
 
 
@@ -254,37 +248,43 @@ def _involution_defect(moments: Mapping[Word, complex], n_generators: int, tol: 
     already read; the check reads its value array, and the words of
     ``moments`` only to name an offender.
 
-    The words of a mapping are distinct, so a length whose rank group holds
-    N^n words holds the whole level, as every moment view the library
-    computes does: there each word's partner is read through the inverse of
-    the rank permutation. A partial level is matched by sorting its ranks, which
+    The leading whole levels (all of a library moment view) are checked at
+    once, their graded-lex vector against its gather through the concatenated
+    ``reversal``. A later length is matched by sorting its ranks, which
     allocates nothing of size N^n for a sparse dict with one long word.
     """
     N = n_generators
-    groups, foreign, vals = _ranked(moments, N) if ranks is None else ranks
+    groups, foreign, vals, lex = ranks = _ranked(moments, N) if ranks is None else ranks
     if foreign:
         w = list(moments)[foreign[0]]
         raise ValidationError(f"word {w} uses letters beyond {N} generators")
     _require_finite(moments, vals)
     scale = float(np.max(np.abs(vals), initial=1.0))
-    for n in sorted(groups):
-        pos, ranks, rev = groups[n]
-        if len(ranks) == N**n:
-            inv = np.empty(len(ranks), dtype=np.int64)
-            inv[ranks] = np.arange(len(ranks))
-            partner = inv[rev]
-            found = np.ones(len(ranks), dtype=bool)
-        else:
-            order = np.argsort(ranks)
-            partner = order[np.searchsorted(ranks[order], rev).clip(max=len(order) - 1)]
-            found = ranks[partner] == rev
+    t = lex
+    while t in groups and len(groups[t][1]) == N**t:
+        t += 1
+    if t:
+        offs = level_offsets(N, t - 1)
+        v = _lex_values(ranks, N, t - 1)
+        rev = np.concatenate([offs[n] + reversal(n, N) for n in range(t)])
+        bad = np.abs(v[rev] - np.conj(v)) > tol * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            n = int(np.searchsorted(offs, i, "right")) - 1
+            return ("asymmetric", word_at(n, i - offs[n], N),
+                    word_at(n, int(rev[i]) - offs[n], N))
+    for n in sorted(set(groups) - set(range(t))):
+        pos, r, rev = groups[n]
+        order = np.argsort(r)
+        partner = order[np.searchsorted(r[order], rev).clip(max=len(order) - 1)]
+        found = r[partner] == rev
         v = vals[pos]
         bad = ~found | (np.abs(v[partner] - np.conj(v)) > tol * scale)
         if bad.any():
             cand = np.flatnonzero(bad)
-            i = cand[np.argmin(ranks[cand])]
+            i = cand[np.argmin(r[cand])]
             return (("asymmetric" if found[i] else "missing"),
-                    word_at(n, int(ranks[i]), N), word_at(n, int(rev[i]), N))
+                    word_at(n, int(r[i]), N), word_at(n, int(rev[i]), N))
     return None
 
 
@@ -431,39 +431,58 @@ class GramMatrix:
 def gram(f: MomentFunctional, level: int) -> GramMatrix:
     """Gram matrix of the kernel over all words of length <= level.
 
-    The upper triangle is filled (hankel and toeplitz kinds block by block
-    from rank arrays, generic entry by entry) and mirrored, so the result is
-    exactly Hermitian. A word the kernel needs but the functional does not
-    store raises DataIncompleteError naming it.
+    The hankel kind is one gather through ``_hankel_index``; the toeplitz
+    kind fills the upper triangle block by block, the generic kind entry by
+    entry, and both mirror it. The result is exactly Hermitian. A word the
+    kernel needs but the functional does not store raises DataIncompleteError
+    naming it.
     """
     if level < 0:
         raise ValidationError("level must be >= 0")
     N = f.n_generators
     ws = words_up_to(level, N)
+    if f.kind == "hankel":
+        m = _lex_values(f._ranks or _ranked(f.moments, N), N, 2 * level)
+        return GramMatrix(level=level, words=ws,
+                          entries=np.concatenate([m, np.conj(m)])[_hankel_index(N, level)])
     offs = level_offsets(N, level)
     G = np.zeros((len(ws), len(ws)), dtype=complex)
-    if f.kind == "hankel":
-        m = _moment_arrays(f.moments, N, 2 * level, f._ranks)
-        for i in range(level + 1):
-            perm = reversal(i, N)
-            for j in range(i, level + 1):
-                G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = m[i + j].reshape(N**i, N**j)[perm]
-    elif f.kind == "toeplitz":
-        c = _moment_arrays(f.moments, N, level)
+    if f.kind == "toeplitz":
+        c = _lex_values(_ranked(f.moments, N), N, level)
         for i in range(level + 1):
             rows = np.arange(N**i)
             for j in range(i, level + 1):
                 # K(s, s.a) = c_a: row rank(s) holds c at columns rank(s) N^(j-i) + rank(a)
                 block = np.zeros((N**i, N**i, N ** (j - i)), dtype=complex)
-                block[rows, rows] = c[j - i]
+                block[rows, rows] = c[offs[j - i]:offs[j - i + 1]]
                 G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block.reshape(N**i, N**j)
     else:
         for i, s in enumerate(ws):
             for j in range(i, len(ws)):
                 G[i, j] = kernel_entry(f, s, ws[j])
-    for i in range(len(ws)):
-        G[i + 1:, i] = np.conj(G[i, i + 1:])
+    lower = np.tril_indices(len(ws), -1)
+    G[lower] = np.conj(G.T[lower])
     return GramMatrix(level=level, words=ws, entries=G)
+
+
+@functools.cache
+def _hankel_index(n_generators: int, level: int) -> np.ndarray:
+    """Where the hankel ``gram`` reads each entry in [s, conj(s)] (shared, read-only).
+
+    s is the graded-lex moment vector to length 2 level. On and above the
+    diagonal, (sigma, tau) reads s at I(sigma).tau, of rank rank(I(sigma))
+    N^|tau| + rank(tau); below it, conj(s) at its mirror's word.
+    """
+    N = n_generators
+    offs = level_offsets(N, level)
+    lev = np.repeat(np.arange(level + 1), np.diff(offs))
+    rank = np.arange(offs[-1]) - np.array(offs[:-1])[lev]
+    rev = np.concatenate([reversal(n, N) for n in range(level + 1)])
+    off2 = np.array(level_offsets(N, 2 * level))
+    T = off2[lev[:, None] + lev] + rev[:, None] * N**lev + rank
+    T = np.where(np.tri(offs[-1], k=-1, dtype=bool), T.T + off2[-1], T)
+    T.flags.writeable = False
+    return T
 
 
 def _gram_at(f: MomentFunctional, level: int, G: GramMatrix | None) -> GramMatrix:

@@ -206,8 +206,8 @@ def hamburger_check(moments: Mapping[Word, complex], n_generators: int, level: i
                    f"s_I(w) = {moments[rev]:.6g}, conj(s_w) = {np.conj(moments[w]):.6g}")
     if EMPTY not in moments:
         raise DataIncompleteError("e", "empty-word moment missing")
-    # with no foreign word, every stored length is a key of the rank groups
-    top = max(ranks[0])
+    # with no foreign word, every stored length is below lex or a key of the groups
+    top = max(ranks[0], default=ranks[3] - 1)
     f = MomentFunctional._exact_hankel(n_generators, top, moments, ranks)
     G = gram(f, level)
     lam, thr = _min_eigenvalue(G, tol)

@@ -90,6 +90,7 @@ def defect(t: OperatorTuple, which: str) -> np.ndarray:
 
 
 def membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipResult:
+    _require_tol(tol)
     lam = float(np.linalg.eigvalsh(defect(t, which))[0])
     return MembershipResult(inside=lam > tol, lambda_min=lam, which=which)
 

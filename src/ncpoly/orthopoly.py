@@ -34,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConsistencyError, PositivityError, ValidationError
-from .functional import (GramMatrix, MomentFunctional, _gram_at, gram,
+from .functional import (GramMatrix, MomentFunctional, _gram_at, _require_tol, gram,
                          kernel_entry, require_strict_positivity)
 from .words import EMPTY, Word, global_index, level_offsets, shift_map, words_up_to
 
@@ -260,9 +260,10 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     because phi#_p is orthogonal to every F_v with e < v <= p, and every
     monomial of Y_k phi_sigma but its top one a_{sigma,sigma} F_w is such an
     F_v; so each scalar is one product of the phi#_p row with a Gram column.
-    The rebuilt basis must match the Cholesky route; a mismatch raises
-    ConsistencyError.
+    The rebuilt basis must match the Cholesky route within tol (finite and
+    >= 0, or ValidationError); a mismatch raises ConsistencyError.
     """
+    _require_tol(tol)
     if f.kind != "toeplitz":
         raise ValidationError("the scalar ladder applies to toeplitz functionals")
     G = gram(f, level)

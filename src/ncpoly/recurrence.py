@@ -9,13 +9,15 @@ level-coupling blocks B stacking to an upper triangular invertible matrix
 B_n = [B_{n,1} ... B_{n,N}] whose diagonal entry at word k.sigma equals
 a_{sigma,sigma} / a_{k.sigma,k.sigma} > 0.
 
-``extract`` reads the blocks off a basis by inner products. ``favard`` goes
+``extract`` reads the blocks off a basis C by inner products: H = conj(C) G
+once, then one product H[:, k.u] C^T per generator holds every <Y_k phi_tau,
+phi_sigma>, and each A_{n,k} and B_{n,k} is a slice of it. ``favard`` goes
 the other way: in the block Jacobi model (``_band``, shared with
 ``jacobi.build``) the monomial Y_w 1 has orthonormal coordinates J_w e_0, so
 the column orbit M = [J_w e_0] is lower triangular, the basis is M^-1 and the
 moments are inner products of its columns. Both directions carry runtime
 checks (symmetry, triangularity, residual of the recurrence as a polynomial
-identity).
+identity), each on whole arrays, naming the first offender in (n, k) order.
 """
 
 from __future__ import annotations
@@ -73,30 +75,49 @@ class RecurrenceCoeffs:
 
     def validate(self, cond_bound: float = COND_BOUND) -> None:
         """Reject non-finite blocks, non-Hermitian A, non-triangular/ill-conditioned B,
-        and a bad diagonal."""
-        self._require_finite()
-        N = self.n_generators
-        for n in range(self.levels):
-            for k in range(1, N + 1):
-                a = self.A[n, k]
-                if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
-                    raise ValidationError(f"A block (n={n}, k={k}) is not Hermitian")
-            Bn = self.b_block(n)
-            scale = max(1.0, float(np.max(np.abs(Bn))))
-            # nonzero walks row-major: cols[0] is the first offending entry in row order
-            _, cols = np.nonzero(np.abs(np.tril(Bn, -1)) > HERMITICITY_TOL * scale)
-            if cols.size:
-                j = int(cols[0])
-                raise ValidationError(
-                    f"B_{n} not upper triangular (offending block n={n}, k={j // N**n + 1})")
-            dg = np.diag(Bn)
-            if np.any(np.abs(dg.imag) > DIAG_TOL * scale) or np.any(dg.real <= 0):
-                j = int(np.argmin(dg.real))
-                raise ValidationError(
-                    f"B_{n} diagonal not strictly positive (offending block n={n}, "
-                    f"k={j // N**n + 1})")
-            if np.linalg.cond(Bn) > cond_bound:
+        and a bad diagonal, naming the first offender in (n, k) order."""
+        N, L = self.n_generators, self.levels
+        offs = level_offsets(N, L)
+        # every level at once: A_{n,k} on the diagonal of Ad[k - 1], B_n on that of Bd
+        Ad = np.zeros((N, offs[L], offs[L]), dtype=complex)
+        Bd = np.zeros((offs[-1] - 1, offs[-1] - 1), dtype=complex)  # from the word index 1
+        for n in range(L):
+            a, b = slice(offs[n], offs[n + 1]), slice(offs[n + 1] - 1, offs[n + 2] - 1)
+            Ad[:, a, a] = [self.A[n, k] for k in range(1, N + 1)]
+            Bd[b, b] = self.b_block(n)
+        if not (np.isfinite(Ad).all() and np.isfinite(Bd).all()):
+            self._require_finite()
+        first = {}  # (level, order of the check on that level): refusal
+        dev, scale = (np.maximum.reduceat(x.max(axis=2, initial=0), offs[:L], axis=1)
+                      for x in (np.abs(Ad - Ad.conj().transpose(0, 2, 1)), np.abs(Ad)))
+        bad = np.flatnonzero((dev > HERMITICITY_TOL * np.maximum(1.0, scale)).T)
+        if bad.size:
+            n, k = divmod(int(bad[0]), N)
+            first[n, 0] = f"A block (n={n}, k={k + 1}) is not Hermitian"
+        lev = np.repeat(np.arange(L), np.diff(offs[1:]))  # the level of each row of Bd
+        absB = np.abs(Bd)
+        scale = np.maximum(1.0, np.maximum.reduceat(absB.max(axis=1, initial=0),
+                                                    np.array(offs[1:-1], dtype=int) - 1))[lev]
+        rows, cols = np.nonzero(np.tril(absB, -1) > HERMITICITY_TOL * scale[:, None])
+        if rows.size:  # nonzero walks row-major, and B_n's rows come before B_{n+1}'s
+            n = int(lev[rows[0]])
+            k = (int(cols[0]) - offs[n + 1] + 1) // N**n + 1
+            first[n, 1] = f"B_{n} not upper triangular (offending block n={n}, k={k})"
+        dg = np.diag(Bd)
+        bad = np.flatnonzero((np.abs(dg.imag) > DIAG_TOL * scale) | (dg.real <= 0))
+        if bad.size:
+            n = int(lev[bad[0]])
+            j = int(np.argmin(dg.real[offs[n + 1] - 1:offs[n + 2] - 1]))
+            first[n, 2] = (f"B_{n} diagonal not strictly positive (offending block n={n}, "
+                           f"k={j // N**n + 1})")
+        stop = min(first, default=(L, 0))
+        for n in range(stop[0]):
+            b, m = offs[n + 1] - 1, N ** (n + 1)
+            # a one-row B_n has one singular value, so its condition number is 1
+            if (np.linalg.cond(Bd[b:b + m, b:b + m]) if m > 1 else 1.0) > cond_bound:
                 raise ValidationError(f"B_{n} condition number exceeds {cond_bound:.1e}")
+        if first:
+            raise ValidationError(first[stop])
 
 
 def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,
@@ -117,37 +138,40 @@ def extract(f: MomentFunctional, basis: OrthoBasis, levels: int,
     G = _gram_at(f, levels, G).entries
     A_coef = basis.matrix(levels)
     offs = level_offsets(N, levels)
+    top = offs[levels]
     kmaps = shift_map(N, levels)
+    # P[k - 1][sigma, tau] = <Y_k phi_tau, phi_sigma>, |tau| < levels: its level-n
+    # diagonal block is A_{n,k}, and the block below that B_{n,k}
+    H = np.conj(A_coef) @ G
+    P = [H[:, kmap] @ A_coef[:top, :top].T for kmap in kmaps]
+    coeffs = RecurrenceCoeffs(
+        n_generators=N, levels=levels,
+        A={(n, k): P[k - 1][offs[n]:offs[n + 1], offs[n]:offs[n + 1]]
+           for n in range(levels) for k in range(1, N + 1)},
+        B={(n, k): P[k - 1][offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]]
+           for n in range(levels) for k in range(1, N + 1)})
 
-    A_blocks: dict[tuple[int, int], np.ndarray] = {}
-    B_blocks: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(levels):
-        src = A_coef[offs[n]:offs[n + 1]]
-        rows_n = np.conj(A_coef[offs[n]:offs[n + 1]])
-        rows_n1 = np.conj(A_coef[offs[n + 1]:offs[n + 2]])
-        for k in range(1, N + 1):
-            shifted = _shift_rows(src, kmaps[k - 1])      # coeffs of Y_k phi_sigma
-            A_blocks[n, k] = rows_n @ G @ shifted.T
-            B_blocks[n, k] = rows_n1 @ G @ shifted.T
-    coeffs = RecurrenceCoeffs(n_generators=N, levels=levels, A=A_blocks, B=B_blocks)
-
+    # every level at once; the first failing level is refused, Hermiticity first
+    dev = np.stack([np.diag(np.maximum.reduceat(np.maximum.reduceat(
+        np.abs(p[:top] - p[:top].conj().T), offs[:-2]), offs[:-2], axis=1)) for p in P], 1)
+    herm = np.flatnonzero(dev > HERMITICITY_TOL)
+    # B_n's diagonal entry at k.sigma is P[k - 1] at (k.sigma, sigma) and should
+    # be lead(sigma) / lead(k.sigma); indexed by k.sigma in graded-lex order
     lead = np.real(np.diag(A_coef))
-    for n in range(levels):
-        for k in range(1, N + 1):
-            a = coeffs.A[n, k]
-            dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-            if dev > HERMITICITY_TOL:
-                raise ConsistencyError(
-                    f"extracted A (n={n}, k={k}) deviates from Hermitian by {dev:.3e}")
-        # the word of rank j on level n + 1 is k.sigma with rank(sigma) = j mod N^n
-        ranks = np.arange(N ** (n + 1))
-        expected = lead[offs[n] + ranks % N**n] / lead[offs[n + 1] + ranks]
-        gap = np.abs(np.diag(coeffs.b_block(n)) - expected)
-        off = gap > DIAG_TOL * np.maximum(1.0, np.abs(expected))
-        if off.any():
-            w = word_at(n + 1, int(np.argmax(off)), N)
-            raise ConsistencyError(
-                f"B_{n} diagonal at {w} deviates from leading-coefficient ratio")
+    dg, ratio = np.empty(offs[-1], dtype=complex), np.empty(offs[-1])
+    for kmap, p in zip(kmaps, P):
+        dg[kmap] = p[kmap, np.arange(top)]
+    ratio[kmaps] = lead[:top]
+    ratio = ratio[1:] / lead[1:]
+    off = np.flatnonzero(np.abs(dg[1:] - ratio) > DIAG_TOL * np.maximum(1.0, np.abs(ratio))) + 1
+    n = int(np.searchsorted(offs, off[0], side="right")) - 2 if off.size else levels
+    if herm.size and herm[0] // N <= n:
+        n, k = divmod(int(herm[0]), N)
+        raise ConsistencyError(f"extracted A (n={n}, k={k + 1}) deviates from Hermitian "
+                               f"by {dev.flat[herm[0]]:.3e}")
+    if off.size:
+        w = word_at(n + 1, int(off[0]) - offs[n + 1], N)
+        raise ConsistencyError(f"B_{n} diagonal at {w} deviates from leading-coefficient ratio")
     resid = _residual(A_coef, coeffs)
     if resid > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(A_coef)))):
         raise ConsistencyError(f"recurrence residual {resid:.3e} too large")
@@ -162,31 +186,23 @@ def residual_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs) -> float:
 
 
 def _residual(A_coef: np.ndarray, coeffs: RecurrenceCoeffs) -> float:
-    """``residual_check`` on the dense coefficient matrix to coeffs.levels."""
-    N = coeffs.n_generators
-    levels = coeffs.levels
-    offs = level_offsets(N, levels)
-    kmaps = shift_map(N, levels)
+    """``residual_check`` on the dense coefficient matrix to coeffs.levels: Y_k Phi_n,
+    all n < levels at once, against the transposed band of the blocks as given times Phi."""
+    N, levels = coeffs.n_generators, coeffs.levels
+    top = level_offsets(N, levels)[levels]
     worst = 0.0
-    for n in range(levels):
-        C_n = A_coef[offs[n]:offs[n + 1]]
-        C_n1 = A_coef[offs[n + 1]:offs[n + 2]]
-        C_nm1 = A_coef[offs[n - 1]:offs[n]] if n >= 1 else None
-        for k in range(1, N + 1):
-            R = _shift_rows(C_n, kmaps[k - 1])
-            R = R - coeffs.B[n, k].T @ C_n1
-            R = R - coeffs.A[n, k].T @ C_n
-            if n >= 1:
-                R = R - np.conj(coeffs.B[n - 1, k]) @ C_nm1
-            worst = max(worst, float(np.max(np.abs(R))))
+    for kmap, J in zip(shift_map(N, levels), _band(coeffs, levels, hermitian=False)):
+        R = _shift_rows(A_coef[:top], kmap) - J[:, :top].T @ A_coef
+        worst = max(worst, float(np.max(np.abs(R))))
     return worst
 
 
-def _band(coeffs: RecurrenceCoeffs, level: int) -> list[np.ndarray]:
+def _band(coeffs: RecurrenceCoeffs, level: int, hermitian: bool = True) -> list[np.ndarray]:
     """The block Jacobi matrices J_1..J_N on words of length <= level.
 
-    Diagonal blocks A_{n,k}, symmetrized, for the n <= level that ``coeffs``
-    has (the rest stay zero); B_{n,k} below and B*_{n,k} above.
+    A_{n,k} on the diagonal for the n <= level that ``coeffs`` has (the rest
+    stay zero), B_{n,k} below and B*_{n,k} above; made exactly Hermitian as
+    (J + J*) / 2 unless ``hermitian`` is False.
     """
     N = coeffs.n_generators
     offs = level_offsets(N, level)
@@ -195,13 +211,12 @@ def _band(coeffs: RecurrenceCoeffs, level: int) -> list[np.ndarray]:
     for k in range(1, N + 1):
         J = np.zeros((S, S), dtype=complex)
         for n in range(min(level + 1, coeffs.levels)):
-            a = coeffs.A[n, k]
-            J[offs[n]:offs[n + 1], offs[n]:offs[n + 1]] = (a + a.conj().T) / 2.0
+            J[offs[n]:offs[n + 1], offs[n]:offs[n + 1]] = coeffs.A[n, k]
         for n in range(level):
             b = coeffs.B[n, k]
             J[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = b
             J[offs[n]:offs[n + 1], offs[n + 1]:offs[n + 2]] = b.conj().T
-        out.append(J)
+        out.append((J + J.conj().T) / 2 if hermitian else J)
     return out
 
 

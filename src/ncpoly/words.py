@@ -141,20 +141,6 @@ def concat(u: Word, v: Word) -> Word:
     return Word(u.letters + v.letters)
 
 
-def predecessor(w: Word, n_generators: int) -> Word:
-    """Previous word in graded-lex order; the empty word has none."""
-    if n_generators < 1:
-        raise ValueError("n_generators must be >= 1")
-    if not w.letters:
-        raise ValueError("the empty word has no predecessor")
-    letters = list(w.letters)
-    for i in range(len(letters) - 1, -1, -1):
-        if letters[i] > 1:
-            letters[i] -= 1
-            return Word(tuple(letters[: i + 1]) + (n_generators,) * (len(letters) - i - 1))
-    return Word((n_generators,) * (len(letters) - 1))
-
-
 class _Table:
     """The words of one length by rank; holding it keeps them shared.
 
@@ -218,10 +204,7 @@ def words_up_to(level: int, n_generators: int) -> list[Word]:
 
 def level_offsets(n_generators: int, level: int) -> list[int]:
     """Start of each length n <= level + 1 in the graded-lex word vector."""
-    offs = [0]
-    for n in range(level + 1):
-        offs.append(offs[-1] + n_generators**n)
-    return offs
+    return list(itertools.accumulate((n_generators**n for n in range(level + 1)), initial=0))
 
 
 @functools.cache

@@ -3,7 +3,9 @@
 Everything here works on plain tuples and dicts, not package types, and
 derives values by a different route than the library: raw kernel tables,
 modified Gram-Schmidt instead of Cholesky, pairing enumeration instead of
-operator models, dense matrix powers instead of block assembly.
+operator models, dense matrix powers instead of block assembly, and one
+(level, generator) block at a time instead of whole-level gathers and
+products.
 """
 
 from __future__ import annotations
@@ -144,6 +146,20 @@ def successor(letters: tuple[int, ...], n_gen: int) -> tuple[int, ...]:
     return (1,) * (len(out) + 1)
 
 
+def predecessor(letters: tuple[int, ...], n_gen: int) -> tuple[int, ...]:
+    """Previous word in graded-lex order over n_gen letters; the empty word has none."""
+    if n_gen < 1:
+        raise ValueError("n_gen must be >= 1")
+    if not letters:
+        raise ValueError("the empty word has no predecessor")
+    out = list(letters)
+    for i in range(len(out) - 1, -1, -1):
+        if out[i] > 1:
+            out[i] -= 1
+            return tuple(out[: i + 1]) + (n_gen,) * (len(out) - i - 1)
+    return (n_gen,) * (len(out) - 1)
+
+
 def rank_array_moments(arrays, n_gen: int) -> dict[tuple[int, ...], complex]:
     """{letters: value} read word by word off one array per length.
 
@@ -166,3 +182,187 @@ def representation_moments(mats, v, top: int) -> dict[tuple[int, ...], complex]:
             x = mats[letter - 1] @ x
         out[w] = complex(np.vdot(v, x))
     return out
+
+
+# --- per-block references for the whole-level moment pipeline ---------------
+#
+# These are the block-by-block loops the library used before it read every
+# level at once: one Gram block, one recurrence block, one check per (level,
+# generator). They work on arrays and plain dicts keyed by (n, k), and report a
+# refusal as ``Refused(class name, message)`` with the library's message.
+
+
+class Refused(Exception):
+    """A reference refusal: the name of the library's error class and its message."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+
+
+def offsets(n_gen: int, level: int) -> list[int]:
+    """Start of each length 0..level + 1 in the graded-lex word vector."""
+    return [sum(n_gen**m for m in range(n)) for n in range(level + 2)]
+
+
+def word_text(letters: tuple[int, ...]) -> str:
+    return ".".join(map(str, letters)) if letters else "e"
+
+
+def level_letters(n: int, n_gen: int) -> list[tuple[int, ...]]:
+    return sorted(product(range(1, n_gen + 1), repeat=n))
+
+
+def _reversal_perm(n: int, n_gen: int) -> np.ndarray:
+    index = {w: r for r, w in enumerate(level_letters(n, n_gen))}
+    return np.array([index[w[::-1]] for w in level_letters(n, n_gen)], dtype=int)
+
+
+def _shift(rows: np.ndarray, n_gen: int, level: int, k: int) -> np.ndarray:
+    """Coefficient rows of Y_k P from those of P, whose words are shorter than level."""
+    words = all_words(level, n_gen)
+    index = {w: i for i, w in enumerate(words)}
+    short = [w for w in words if len(w) < level]
+    out = np.zeros_like(rows)
+    out[:, [index[(k,) + w] for w in short]] = rows[:, :len(short)]
+    return out
+
+
+def block_gram(arrays, n_gen: int, level: int) -> np.ndarray:
+    """Hankel Gram matrix block by block from one rank-indexed moment array per length.
+
+    Block (i, j), i <= j, is the length-(i + j) array reshaped to N^i x N^j
+    with its rows permuted by the reversal of the length-i words; the lower
+    triangle is mirrored row by row.
+    """
+    offs = offsets(n_gen, level)
+    G = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for i in range(level + 1):
+        perm = _reversal_perm(i, n_gen)
+        for j in range(i, level + 1):
+            block = np.asarray(arrays[i + j]).reshape(n_gen**i, n_gen**j)[perm]
+            G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
+    for i in range(offs[-1]):
+        G[i + 1:, i] = np.conj(G[i, i + 1:])
+    return G
+
+
+def level_defect(moments: dict[tuple[int, ...], complex], n_gen: int, tol: float):
+    """The involution check one length at a time, on a {letters: value} dict.
+
+    Returns None, ("missing", w, I(w)) or ("asymmetric", w, I(w)) with w the
+    first offending word in graded-lex order; refuses a foreign letter, then a
+    non-finite value, as the library does.
+    """
+    words = list(moments)
+    for w in words:
+        if any(letter > n_gen for letter in w):
+            raise Refused("ValidationError",
+                          f"word {word_text(w)} uses letters beyond {n_gen} generators")
+    vals = np.array([moments[w] for w in words], dtype=complex)
+    if not np.isfinite(vals).all():
+        w = min((w for w in words if not np.isfinite(moments[w])), key=lambda w: (len(w), w))
+        raise Refused("ValidationError", f"moment at {word_text(w)} is not finite "
+                                         f"({complex(moments[w])})")
+    scale = float(np.max(np.abs(vals), initial=1.0))
+    for n in sorted({len(w) for w in words}):
+        level = sorted(w for w in words if len(w) == n)
+        bad = []
+        for w in level:
+            rev = w[::-1]
+            if rev not in moments:
+                bad.append(("missing", w, rev))
+            elif abs(moments[rev] - np.conj(moments[w])) > tol * scale:
+                bad.append(("asymmetric", w, rev))
+        if bad:
+            what, w, rev = bad[0]
+            return what, word_text(w), word_text(rev)
+    return None
+
+
+def block_validate(A: dict, B: dict, n_gen: int, levels: int, cond_bound: float) -> None:
+    """Recurrence blocks checked one (level, generator) at a time.
+
+    Non-finite blocks in (n, k) order (A before B), then at each level: A
+    Hermitian, B_n upper triangular, B_n's diagonal real positive, cond(B_n).
+    """
+    N = n_gen
+    for n in range(levels):
+        for k in range(1, N + 1):
+            for name, block in (("A", A[n, k]), ("B", B[n, k])):
+                if not np.isfinite(block).all():
+                    raise Refused("ValidationError",
+                                  f"{name} block (n={n}, k={k}) has a non-finite entry")
+    for n in range(levels):
+        for k in range(1, N + 1):
+            a = A[n, k]
+            if np.max(np.abs(a - a.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+                raise Refused("ValidationError", f"A block (n={n}, k={k}) is not Hermitian")
+        Bn = np.hstack([B[n, k] for k in range(1, N + 1)])
+        scale = max(1.0, float(np.max(np.abs(Bn))))
+        _, cols = np.nonzero(np.abs(np.tril(Bn, -1)) > 1e-10 * scale)  # row-major
+        if cols.size:
+            raise Refused("ValidationError", f"B_{n} not upper triangular "
+                                             f"(offending block n={n}, k={cols[0] // N**n + 1})")
+        dg = np.diag(Bn)
+        if np.any(np.abs(dg.imag) > 1e-9 * scale) or np.any(dg.real <= 0):
+            j = int(np.argmin(dg.real))
+            raise Refused("ValidationError", f"B_{n} diagonal not strictly positive "
+                                             f"(offending block n={n}, k={j // N**n + 1})")
+        if np.linalg.cond(Bn) > cond_bound:
+            raise Refused("ValidationError", f"B_{n} condition number exceeds {cond_bound:.1e}")
+
+
+def block_residual(C: np.ndarray, A: dict, B: dict, n_gen: int, levels: int) -> float:
+    """Largest coefficient of Y_k Phi_n - Phi_{n+1} B_{n,k} - Phi_n A_{n,k} - Phi_{n-1} B*_{n-1,k}.
+
+    One product per (level, generator) block; A is read as given.
+    """
+    offs = offsets(n_gen, levels)
+    worst = 0.0
+    for n in range(levels):
+        rows = slice(offs[n], offs[n + 1])
+        for k in range(1, n_gen + 1):
+            R = _shift(C[rows], n_gen, levels, k)
+            R = R - B[n, k].T @ C[offs[n + 1]:offs[n + 2]] - A[n, k].T @ C[rows]
+            if n >= 1:
+                R = R - np.conj(B[n - 1, k]) @ C[offs[n - 1]:offs[n]]
+            worst = max(worst, float(np.max(np.abs(R))))
+    return worst
+
+
+def block_extract(G: np.ndarray, C: np.ndarray, n_gen: int, levels: int):
+    """Recurrence blocks (A, B) read one (level, generator) block at a time.
+
+    A_{n,k} = conj(Phi_n) G (Y_k Phi_n)^T and B_{n,k} = conj(Phi_{n+1}) G
+    (Y_k Phi_n)^T for the coefficient rows C of an orthonormal basis; then
+    the checks: A Hermitian, B's diagonal equal to the ratio of leading
+    coefficients, and the recurrence residual.
+    """
+    N = n_gen
+    offs = offsets(N, levels)
+    A, B = {}, {}
+    for n in range(levels):
+        rows_n = np.conj(C[offs[n]:offs[n + 1]])
+        rows_n1 = np.conj(C[offs[n + 1]:offs[n + 2]])
+        for k in range(1, N + 1):
+            shifted = _shift(C[offs[n]:offs[n + 1]], N, levels, k)
+            A[n, k] = rows_n @ G @ shifted.T
+            B[n, k] = rows_n1 @ G @ shifted.T
+    lead = np.real(np.diag(C))
+    for n in range(levels):
+        for k in range(1, N + 1):
+            dev = float(np.max(np.abs(A[n, k] - A[n, k].conj().T)))
+            if dev > 1e-10:
+                raise Refused("ConsistencyError", f"extracted A (n={n}, k={k}) deviates "
+                                                  f"from Hermitian by {dev:.3e}")
+        Bn = np.hstack([B[n, k] for k in range(1, N + 1)])
+        for j, w in enumerate(level_letters(n + 1, N)):
+            expected = lead[offs[n] + j % N**n] / lead[offs[n + 1] + j]
+            if abs(Bn[j, j] - expected) > 1e-9 * max(1.0, abs(expected)):
+                raise Refused("ConsistencyError", f"B_{n} diagonal at {word_text(w)} "
+                                                  "deviates from leading-coefficient ratio")
+    resid = block_residual(C, A, B, N, levels)
+    if resid > 1e-9 * max(1.0, float(np.max(np.abs(C)))):
+        raise Refused("ConsistencyError", f"recurrence residual {resid:.3e} too large")
+    return A, B

@@ -81,6 +81,19 @@ def test_cayley_requires_ball_membership():
         cayley(OperatorTuple(n_generators=1, dim=2, mats=mats))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_membership_refuses_a_bad_tol(tol):
+    # norm 1.2: lambda_min(I - Z Z*) = -0.44, which a tol of -1 would call inside
+    outside = OperatorTuple(n_generators=1, dim=2, mats=1.2 * np.eye(2)[None])
+    assert not membership(outside, "ball").inside
+    siegel = cayley(OperatorTuple(n_generators=1, dim=2, mats=0.5 * np.eye(2)[None]))
+    for check, t in ((lambda t, tol: membership(t, "ball", tol), outside),
+                     (lambda t, tol: opeval.require_membership(t, "ball", tol), outside),
+                     (cayley, outside), (cayley_inverse, siegel)):
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            check(t, tol)
+
+
 def test_ball_sandwich_matches_brute_force():
     # strongly contracted points keep the truncation short enough to
     # enumerate every word directly

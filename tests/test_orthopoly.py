@@ -163,6 +163,15 @@ def test_szego_rejects_contradictory_data():
         szego_recursion(f, 2)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+def test_szego_recursion_refuses_a_bad_tol(tol):
+    # a NaN tol would turn off the ladder-against-Cholesky cross-check
+    f = random_toeplitz(np.random.default_rng(19), 2, 2, scale=0.08)
+    with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+        szego_recursion(f, 2, tol)
+    szego_recursion(f, 2, 1e-8)
+
+
 def test_szego_recursion_factors_the_gram_once(monkeypatch):
     f = random_toeplitz(np.random.default_rng(25), 2, 3, scale=0.08)
     calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh")
