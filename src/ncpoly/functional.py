@@ -30,10 +30,14 @@ goes stale. The hankel Gram is one gather from the graded-lex moment vector
 and its conjugate, through an index table memoized per (N, level)
 (``_hankel_index``); the toeplitz Gram places c_{j-i} along the prefix
 blocks; the involution check compares the leading whole levels with their
-gather through the concatenated ``reversal`` and matches a partial level by
-sorting. The vectors X_w v of an operator model come from one orbit routine
-(``_orbit``, also behind ``jacobi.JacobiFamily.orbit`` and ``recurrence.favard``),
-their moments one length at a time as one matrix product (``_hankel_moments``).
+gather through the concatenated reversal index (``_lex_reversal``) and
+matches a partial level by sorting. The vectors X_w v of an operator model
+come from one orbit routine (``_orbit``), and their moments from one
+routine (``_hankel_moments``): one product against x_e for the lengths up
+to the orbit's, one stacked product for the longer ones, and one
+symmetrizing gather through ``_lex_reversal``. ``from_representation``,
+``recurrence.favard`` and the readout of ``jacobi.moment`` all call both.
+``from_representation`` symmetrizes a new array, never the caller's.
 
 Moments are validated where they enter from outside: the ``MomentFunctional``
 constructor copies them (``dict`` keeps each key's stored hash) and checks
@@ -60,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIncompleteError, PositivityError, ValidationError
-from .words import (EMPTY, Word, _table, concat, involution, level_offsets, rank_groups,
-                    reversal, word_at, word_index, words_up_to)
+from .words import (EMPTY, Word, _reserve, _table, concat, involution, level_offsets,
+                    rank_groups, reversal, word_at, word_index, words_up_to)
 
 KINDS = ("hankel", "toeplitz", "generic")
 
@@ -113,7 +117,7 @@ class _MomentView(MutableMapping):
             a.flags.writeable = False
         self.n_generators = n_generators
         self._arrays = tuple(arrays)
-        self._tables = [_table(n, n_generators, build=False) for n in range(1, len(arrays))]
+        self._tables = _reserve(len(arrays) - 1, n_generators)
         self._dict: dict[Word, complex] | None = None
 
     def __getitem__(self, w):
@@ -266,7 +270,7 @@ def _involution_defect(moments: Mapping[Word, complex], n_generators: int, tol: 
     if t:
         offs = level_offsets(N, t - 1)
         v = _lex_values(ranks, N, t - 1)
-        rev = np.concatenate([offs[n] + reversal(n, N) for n in range(t)])
+        rev = _lex_reversal(N, t - 1)
         bad = np.abs(v[rev] - np.conj(v)) > tol * scale
         if bad.any():
             i = int(np.argmax(bad))
@@ -552,20 +556,27 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValidationError("mats must have shape (N, d, d)")
     n, d, _ = X.shape
-    for k in range(n):
-        if not np.isfinite(X[k]).all():
-            raise ValidationError(f"matrix {k + 1} has a non-finite entry")
-        dev = np.max(np.abs(X[k] - X[k].conj().T))
-        if dev > atol * (1.0 + np.max(np.abs(X[k]))):
-            raise ValidationError(f"matrix {k + 1} is not Hermitian (deviation {dev:.3e})")
-        X[k] = (X[k] + X[k].conj().T) / 2.0
+    # the matrices before the first non-finite one are checked; X may be the
+    # caller's own array, so D and the symmetrized X are new ones
+    finite = np.isfinite(X).all(axis=(1, 2))
+    stop = n if finite.all() else int(np.argmin(finite))
+    D = X[:stop] - X[:stop].conj().transpose(0, 2, 1)
+    dev = np.abs(D).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > atol * (1.0 + np.abs(X[:stop]).max(axis=(1, 2), initial=0.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"matrix {k + 1} is not Hermitian (deviation {dev[k]:.3e})")
+    if stop < n:
+        raise ValidationError(f"matrix {stop + 1} has a non-finite entry")
+    X = X - D / 2.0
     v = np.asarray(v, dtype=complex).reshape(d)
     nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm is refused too
         raise ValidationError("v must be a unit vector")
 
     vecs = _orbit(X, v[None, :], (max_degree + 1) // 2)
-    return MomentFunctional._exact_hankel(n, max_degree, _hankel_moments(vecs, n, max_degree))
+    return MomentFunctional._exact_hankel(
+        n, max_degree, _MomentView(n, _hankel_moments(vecs, n, max_degree)))
 
 
 def _orbit(mats: Sequence[np.ndarray], x_e: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -576,25 +587,40 @@ def _orbit(mats: Sequence[np.ndarray], x_e: np.ndarray, levels: int) -> list[np.
     return vecs
 
 
-def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int) -> _MomentView:
-    """Moments s_w = <x_w, x_e> to length top of vectors with x_{k.u} = Y_k x_u.
+def _hankel_moments(vecs: list[np.ndarray], n_generators: int, top: int) -> list[np.ndarray]:
+    """Moments s_w = <x_w, x_e> to length top of vectors with x_{k.u} = Y_k x_u, by length.
 
     ``vecs[n][r]`` is x_w for the length-n word of rank r, with Y self-adjoint,
     for n up to h >= top / 2. A word of length m splits as w = p.q with
-    |q| = min(h, m), so s_w = <x_q, x_{I(p)}> and each length is one matrix
-    product. The symmetry s_{I(w)} = conj(s_w), exact in exact arithmetic, is
-    then made exact in floats, and s_e is set to 1, so the view of the
-    arrays may go to ``MomentFunctional._exact_hankel``.
+    |q| = min(h, m), so s_w = <x_q, x_{I(p)}>: the lengths up to h are one
+    product against x_e, and the longer ones one product of the stacked
+    x_{I(p)}, 1 <= |p| <= top - h, against the x_q with |q| = h. The symmetry
+    s_{I(w)} = conj(s_w), exact in exact arithmetic, is then made exact in
+    floats by one gather through ``_lex_reversal``, and s_e is set to 1, so a
+    ``_MomentView`` of the arrays (views of one vector) may go to
+    ``MomentFunctional._exact_hankel``.
     """
     N = n_generators
     h = len(vecs) - 1
-    out = [np.ones(1, dtype=complex)]
-    for m in range(1, top + 1):
-        b = min(h, m)
-        a = m - b
-        s = (vecs[a][reversal(a, N)].conj() @ vecs[b].T).reshape(-1)
-        out.append((s + np.conj(s[reversal(m, N)])) / 2.0)
-    return _MomentView(N, out)
+    offs = level_offsets(N, top)
+    s = np.empty(offs[-1], dtype=complex)
+    s[:offs[h + 1]] = (vecs[0].conj() @ np.concatenate(vecs[:h + 1]).T).reshape(-1)
+    if top > h:
+        rev = _lex_reversal(N, top - h)
+        V = np.concatenate(vecs[:top - h + 1])
+        s[offs[h + 1]:] = (V[rev[1:]].conj() @ vecs[h].T).reshape(-1)
+    s = (s + np.conj(s[_lex_reversal(N, top)])) / 2.0
+    s[0] = 1.0
+    return [s[offs[n]:offs[n + 1]] for n in range(top + 1)]
+
+
+@functools.cache
+def _lex_reversal(n_generators: int, top: int) -> np.ndarray:
+    """Graded-lex index of I(w) for every word of length <= top (shared, read-only)."""
+    offs = level_offsets(n_generators, top)
+    rev = np.concatenate([offs[n] + reversal(n, n_generators) for n in range(top + 1)])
+    rev.flags.writeable = False
+    return rev
 
 
 def inner_product(f: MomentFunctional, p: dict[Word, complex], q: dict[Word, complex]) -> complex:

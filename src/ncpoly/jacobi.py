@@ -8,11 +8,14 @@ functional's moments for every word of length <= 2L + 1, since a product of
 L+1 or fewer band matrices cannot move e_0 past level L and back in a way
 that feels the cut.
 
-A family is built once and read many times, so it keeps its vacuum orbit:
-the columns J_q e_0 for |q| <= L + 1 and the rows e_0^T J_p for |p| <= L,
-by graded-lex rank (the columns by ``functional._orbit``). A word sigma =
-p.b.q then has <J_sigma e_0, e_0> = (e_0^T J_p) (J_b (J_q e_0)), with b
-empty whenever |sigma| <= 2L + 1.
+A family is built once and read many times, so on first use it keeps its
+column orbit J_q e_0 for |q| <= L + 1 by graded-lex rank
+(``functional._orbit``), the moments to length 2L + 1 read off it by
+``functional._hankel_moments``, one array per length, and a prefix and a
+suffix index from letters to rank. The rows are not kept: the J_k are
+Hermitian, so e_0^T J_p = conj(J_{I(p)} e_0)^T. A word sigma = p.b.q then
+has <J_sigma e_0, e_0> = <J_b J_q e_0, J_{I(p)} e_0>; b is empty whenever
+|sigma| <= 2L + 1, and the moment is one array entry, at the rank of p.q.
 
 ``hamburger_check`` answers the positivity question for a finite moment set:
 a PSD kernel is necessary and sufficient, and strict positivity comes with a
@@ -30,8 +33,8 @@ import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
 from .functional import (SYMMETRY_TOL, MomentFunctional, _complex_moments,
-                         _involution_defect, _min_eigenvalue, _orbit, _ranked,
-                         _require_tol, _view_arrays, gram)
+                         _hankel_moments, _involution_defect, _min_eigenvalue, _orbit,
+                         _ranked, _require_tol, _view_arrays, gram)
 from .orthopoly import _cholesky_basis
 from .recurrence import RecurrenceCoeffs, _band, extract
 from .words import EMPTY, Word
@@ -41,7 +44,7 @@ from .words import EMPTY, Word
 class BlockJacobi:
     """One generator's matrix on the level <= L truncation, row/col graded-lex.
 
-    The matrix is a read-only copy, so a family's cached orbit cannot go stale.
+    The matrix is a read-only copy, so a family's cached moments cannot go stale.
     """
 
     generator: int
@@ -62,10 +65,12 @@ class BlockJacobi:
 class JacobiFamily(tuple):
     """J_1..J_N of one truncation: an immutable sequence of ``BlockJacobi``.
 
-    ``orbit`` is computed on first use and kept: the rows e_0^T J_p for
-    |p| <= level and the columns J_q e_0 for |q| <= level + 1, keyed by the
-    letters of p and q. Together they hold about (N + 1) / N times the
-    entries of the matrices.
+    ``_vacuum`` is computed on first use and kept: the column orbit J_q e_0
+    for |q| <= level + 1 by graded-lex rank, the moments to length
+    2 level + 1 that ``functional._hankel_moments`` reads off it, one array
+    per length, and a prefix and a suffix index from letters to rank. The
+    row orbit is not kept: e_0^T J_p = conj(J_{I(p)} e_0)^T. Together they
+    hold about (2N - 1) / N times the entries of the matrices.
     """
 
     def __new__(cls, operators):
@@ -75,20 +80,24 @@ class JacobiFamily(tuple):
         return family
 
     @cached_property
-    def orbit(self) -> tuple[dict[tuple[int, ...], np.ndarray],
-                             dict[tuple[int, ...], np.ndarray]]:
-        """(rows, cols) with rows[p.letters] = e_0^T J_p and cols[q.letters] = J_q e_0."""
-        N, level, S = len(self), self[0].level, self[0].size
-        e0 = np.eye(1, S, dtype=complex)
-        # R_{p.k} = R_p J_k sits at rank(p) N + k - 1; C_{k.q} = J_k C_q at (k - 1) N^n + rank(q)
-        rows = [e0]
-        for _ in range(level):
-            rows.append(np.stack([rows[-1] @ J.matrix for J in self], axis=1).reshape(-1, S))
-        cols = _orbit([J.matrix for J in self], e0, level + 1)
-        # key each rank's vector by its letters, so a lookup also rejects a foreign letter
-        return tuple({key: vec for n, arr in enumerate(stack) for key, vec in
-                      zip(product(range(1, N + 1), repeat=n), arr)}
-                     for stack in (rows, cols))
+    def _vacuum(self) -> tuple[list[np.ndarray], list[np.ndarray],
+                               dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+        """(cols, moments, prefix, suffix).
+
+        cols[n][r] = J_q e_0 and moments[n][r] = <J_w e_0, e_0> for the
+        length-n q and w of rank r; suffix[q.letters] = rank(q) for
+        |q| <= level + 1 and prefix[p.letters] = rank(p) N^(level + 1) for
+        |p| <= level, so a word p.q with |q| = level + 1 (or p empty) has
+        rank prefix[p] + suffix[q]. Letters beyond N are in neither index.
+        """
+        N, level = len(self), self[0].level
+        cols = _orbit([J.matrix for J in self], np.eye(1, self[0].size, dtype=complex),
+                      level + 1)
+        suffix = {key: r for n in range(level + 2)
+                  for r, key in enumerate(product(range(1, N + 1), repeat=n))}
+        step = N ** (level + 1)
+        prefix = {key: r * step for key, r in suffix.items() if len(key) <= level}
+        return cols, _hankel_moments(cols, N, 2 * level + 1), prefix, suffix
 
 
 def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
@@ -132,11 +141,11 @@ def moment(family: Sequence[BlockJacobi], sigma: Word) -> MomentValue:
     The flag is conservative: the value is still exact up to |sigma| =
     2*level + 1 by the band argument, but past the truncation level the
     caller should not extend trust without checking. The value is read from
-    the family's cached orbit (a plain list is wrapped for the call): sigma
-    splits as p.b.q with |q| = min(|sigma|, level + 1) and |p| =
-    min(|sigma| - |q|, level), and p and q are looked up by their letters.
-    The middle b is empty up to length 2*level + 1; past it, each of its
-    letters costs one matvec.
+    the family's cached vacuum data (a plain list is wrapped for the call):
+    sigma splits as p.b.q with |q| = min(|sigma|, level + 1) and |p| =
+    min(|sigma| - |q|, level). The middle b is empty up to length
+    2*level + 1, where the moment is read by the rank of p.q; past it, each
+    letter of b costs one matvec on J_q e_0, paired with J_{I(p)} e_0.
     """
     if not isinstance(family, JacobiFamily):
         family = JacobiFamily(family)
@@ -146,13 +155,15 @@ def moment(family: Sequence[BlockJacobi], sigma: Word) -> MomentValue:
     # min() by comparison: the builtin's call is a tenth of this function's time
     c = n if n <= level + 1 else level + 1
     a = n - c if n - c <= level else level
-    rows, cols = family.orbit
-    row, col = rows.get(letters[:a]), cols.get(letters[n - c:])
-    if row is None or col is None or (a + c < n and max(letters) > N):
+    cols, moments, prefix, suffix = family._vacuum
+    p, q = prefix.get(letters[:a]), suffix.get(letters[n - c:])
+    if p is None or q is None or (a + c < n and max(letters) > N):
         raise ValidationError(f"word {sigma} uses letters beyond {N} generators")
-    if a + c < n:
-        col = word_apply(family, letters[a:n - c], col)
-    return MomentValue(complex(row.dot(col)), n > level)
+    if a + c == n:
+        return MomentValue(moments[n].item(p + q), n > level)
+    col = word_apply(family, letters[a:n - c], cols[c][q])
+    row = cols[a][suffix[letters[:a][::-1]]]
+    return MomentValue(complex(np.vdot(row, col)), True)
 
 
 @dataclass

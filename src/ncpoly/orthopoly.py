@@ -138,9 +138,34 @@ def _cholesky_basis(n_generators: int, G: GramMatrix) -> OrthoBasis:
         L = np.linalg.cholesky(np.conj(G.entries))
     except np.linalg.LinAlgError as exc:
         raise PositivityError(f"Cholesky failed at level {G.level}: {exc}") from exc
-    A = np.linalg.inv(L)
+    A = _upper_inv(L.T).T
     np.fill_diagonal(A, A.diagonal().real)
     return OrthoBasis._from_matrix(n_generators, G.level, A)
+
+
+# order up to which _upper_inv inverts a block with one LAPACK call
+_TRI_LEAF = 32
+
+
+def _upper_inv(U: np.ndarray) -> np.ndarray:
+    """Inverse of the upper triangle of U, by halving; exactly zero below the diagonal.
+
+    With U = [[U11, U12], [0, U22]] and A, C the inverses of U11 and U22, the
+    inverse is [[A, -A (U12 C)], [0, C]]: the recursive form of LAPACK
+    xTRTRI (Du Croz & Higham, IMA J. Numer. Anal. 1992). A block of order
+    at most ``_TRI_LEAF`` goes to ``np.linalg.inv`` as an upper triangular
+    matrix, whose LU factorization never pivots. Entries of U below the
+    diagonal are not read.
+    """
+    n = len(U)
+    if n <= _TRI_LEAF:
+        return np.linalg.inv(np.triu(U))
+    m = n // 2
+    out = np.zeros_like(U)
+    A = out[:m, :m] = _upper_inv(U[:m, :m])
+    C = out[m:, m:] = _upper_inv(U[m:, m:])
+    out[:m, m:] = -(A @ (U[:m, m:] @ C))
+    return out
 
 
 def _shift_rows(rows: np.ndarray, kmap: np.ndarray) -> np.ndarray:

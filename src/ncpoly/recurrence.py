@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .functional import GramMatrix, MomentFunctional, _gram_at, _hankel_moments, _orbit
-from .orthopoly import OrthoBasis, _shift_rows
+from .functional import (GramMatrix, MomentFunctional, _gram_at, _hankel_moments, _MomentView,
+                         _orbit)
+from .orthopoly import OrthoBasis, _shift_rows, _upper_inv
 from .words import level_offsets, shift_map, word_at
 
 HERMITICITY_TOL = 1e-10
@@ -236,8 +237,8 @@ def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
     # coeffs.levels) is never read
     mats = _band(coeffs, L)
     cols = _orbit(mats, np.eye(1, len(mats[0]), dtype=complex), L)
-    # LU of the upper triangular M^T swaps no rows, so row 0 stays exactly e_0
-    A = np.linalg.inv(np.concatenate(cols).T).T
+    # the inverse of the upper triangular M^T has first column exactly e_0
+    A = _upper_inv(np.concatenate(cols).T).T
     np.fill_diagonal(A, A.diagonal().real)
-    f = MomentFunctional._exact_hankel(N, 2 * L, _hankel_moments(cols, N, 2 * L))
+    f = MomentFunctional._exact_hankel(N, 2 * L, _MomentView(N, _hankel_moments(cols, N, 2 * L)))
     return OrthoBasis._from_matrix(N, L, A), f

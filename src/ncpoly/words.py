@@ -18,25 +18,28 @@ The words going out are shared: one table of ``Word``s per (length, N),
 built on first use and kept while a result holds it. A functional's moments
 are not keyed by built words: the moment view of ``from_representation``
 and ``recurrence.favard`` keeps rank arrays and reserves the tables of its
-lengths (``_table(..., build=False)``, which builds no word), so the words
-are built at most once, by the first read that needs them, and while the
-view lives ``enumerate_level``, ``words_up_to`` and every Word-keyed dict or
-list made from rank arrays (Gram words, basis rows, point evaluations, a
-dict of the moments) reuse them. The cache refers to a table only weakly,
-so the words go when the last holder goes and the library keeps no
-``Word`` of its own; with nothing held, every call builds its words afresh.
-A shared word is an ordinary ``Word``: equal to, and hashing like, one
-built by hand. The library generates its letters (``itertools.product``
-over 1..N), so a table builds its words without re-checking them, as
-``Word.parse`` does once its own checks pass; ``Word(...)`` and ``Word.of``
-check and normalize every other word.
+lengths (``_reserve``: one lookup, or one pass under the lock, and no word
+built), so the words are built at most once, by the first read that needs
+them, and while the view lives ``enumerate_level``, ``words_up_to`` and
+every Word-keyed dict or list made from rank arrays (Gram words, basis rows,
+point evaluations, a dict of the moments) reuse them. The cache refers to a
+table only weakly, so the words go when the last holder goes and the
+library keeps no ``Word`` of its own; with nothing held, every call builds
+its words afresh. A shared word is an ordinary ``Word``: equal to, and
+hashing like, one built by hand. The library generates its letters
+(``itertools.product`` over 1..N), so a table builds its words without
+re-checking them, as ``Word.parse`` does once its own checks pass, and
+with no Python call per word (``_build``: ``object.__new__`` and the slot
+setter, mapped in C); ``Word(...)`` and ``Word.of`` check and normalize
+every other word. A ``Word`` is a slotted frozen dataclass: 40 bytes and
+its letters tuple, and no ``__dict__`` or weak reference.
 
 The rank tables are different: ``reversal`` and ``shift_map`` are pure
 functions of (n, N) and (N, level), so each is built once per process,
 memoized, and returned read-only to every caller. A ``reversal`` entry
 costs N^n int64 and a ``shift_map`` entry one int64 per word of length 1 to
-level: 8 bytes a word, against the roughly 150 bytes of the ``Word`` the same
-pipeline builds for it.
+level: 8 bytes a word, against the 40 bytes of the ``Word`` the same
+pipeline builds for it and the 40 bytes, plus 8 a letter, of its tuple.
 
 Serialized form: letters joined by dots ("1.2.1"); the empty word is "e".
 """
@@ -48,6 +51,7 @@ import itertools
 import operator
 import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +61,7 @@ from .errors import ValidationError
 _INT = frozenset([int])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     letters: tuple[int, ...] = field(default=())
 
@@ -120,6 +124,9 @@ class Word:
 
 EMPTY = Word()
 
+# the slot's own setter, which the frozen ``__setattr__`` does not guard
+_SET_LETTERS = Word.letters.__set__
+
 
 def _word(letters: tuple[int, ...]) -> Word:
     """A ``Word`` of letters the library made: an exact tuple of ints >= 1.
@@ -128,8 +135,20 @@ def _word(letters: tuple[int, ...]) -> Word:
     ``Word``, equal to, hashing, ordering and pickling like ``Word(letters)``.
     """
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    _SET_LETTERS(w, letters)
     return w
+
+
+def _build(n: int, n_generators: int) -> tuple[Word, ...]:
+    """The words of length n by rank, as ``_word`` makes them, with no Python call per word.
+
+    ``object.__new__`` makes the words and the slot setter gives each its
+    letters from ``itertools.product``, both mapped in C.
+    """
+    letters = list(itertools.product(range(1, n_generators + 1), repeat=n))
+    words = tuple(map(object.__new__, itertools.repeat(Word, len(letters))))
+    deque(map(_SET_LETTERS, words, letters), maxlen=0)
+    return words
 
 
 def involution(w: Word) -> Word:
@@ -144,8 +163,8 @@ def concat(u: Word, v: Word) -> Word:
 class _Table:
     """The words of one length by rank; holding it keeps them shared.
 
-    ``words`` is None while the table is only reserved (``_table(...,
-    build=False)``); the next ``_table`` call for it builds them.
+    ``words`` is None while the table is only reserved (``_reserve``); the
+    next ``_table`` call for it builds them.
     """
 
     __slots__ = ("words", "__weakref__")
@@ -159,34 +178,68 @@ _TABLES: weakref.WeakValueDictionary[tuple[int, int], _Table] = weakref.WeakValu
 _BUILD = threading.Lock()
 
 
-def _table(n: int, n_generators: int, build: bool = True) -> _Table:
+def _table(n: int, n_generators: int) -> _Table:
     """The shared words of length n, lexicographically.
 
-    The words are built when the live table has none, or no table is live,
-    under a lock, from the letters of ``itertools.product`` through
-    ``_word``, which does not re-check them (``Word(...)`` checks every word
-    the library did not generate). They are published complete, so
-    concurrent first calls read one tuple and a failed build publishes
-    none. With ``build=False`` the live table is returned as it is, or a new
-    one is published with no words yet, which costs no ``Word``: a holder
-    reserves the table, and every later call reads the same words while it
-    holds it. A table lives as long as a caller holds the returned object.
+    The words are built when the live table has none (it is only reserved),
+    or no table is live, under a lock, by ``_build``, which does not check
+    them (``Word(...)`` checks every word the library did not generate).
+    They are published complete, so concurrent first calls read one tuple
+    and a failed build publishes none. A table lives as long as a caller
+    holds the returned object or its reservation.
     """
     key = (n, n_generators)
     table = _TABLES.get(key)
-    if table is None or (build and table.words is None):
+    if table is None or table.words is None:
         if n < 0:
             raise ValueError("level must be >= 0")
         with _BUILD:
             table = _TABLES.get(key)
-            if table is None or (build and table.words is None):
-                words = tuple(map(_word, itertools.product(
-                    range(1, n_generators + 1), repeat=n))) if build else None
+            if table is None or table.words is None:
+                words = _build(n, n_generators)
                 if table is None:
                     table = _TABLES[key] = _Table(words)
                 else:
                     table.words = words
     return table
+
+
+class _Reserved:
+    """The tables of lengths 1..top of one N, held together; see ``_reserve``."""
+
+    __slots__ = ("tables", "__weakref__")
+
+    def __init__(self, tables: tuple[_Table, ...]):
+        self.tables = tables
+
+
+# (top, n_generators) -> the reservation of lengths 1..top, while something holds it
+_RESERVED: weakref.WeakValueDictionary[tuple[int, int], _Reserved] = weakref.WeakValueDictionary()
+
+
+def _reserve(top: int, n_generators: int) -> _Reserved:
+    """The live tables of lengths 1..top, and new ones with no words yet where none is.
+
+    A reservation builds no ``Word``: every later ``_table`` call reads the
+    same words while it is held. One lookup while a reservation of the same
+    lengths is live, else one pass under the lock. Holding the result holds
+    every table in it, so the words are shared and live exactly as if each
+    table were held on its own.
+    """
+    key = (top, n_generators)
+    held = _RESERVED.get(key)
+    if held is None:
+        with _BUILD:
+            held = _RESERVED.get(key)
+            if held is None:
+                tables = []
+                for n in range(1, top + 1):
+                    table = _TABLES.get((n, n_generators))
+                    if table is None:
+                        table = _TABLES[n, n_generators] = _Table(None)
+                    tables.append(table)
+                held = _RESERVED[key] = _Reserved(tuple(tables))
+    return held
 
 
 def enumerate_level(n: int, n_generators: int) -> list[Word]:

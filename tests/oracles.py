@@ -175,13 +175,45 @@ def rank_array_moments(arrays, n_gen: int) -> dict[tuple[int, ...], complex]:
 
 def representation_moments(mats, v, top: int) -> dict[tuple[int, ...], complex]:
     """<X_w v, v> for every word of length <= top, one dense product chain per word."""
-    out = {}
-    for w in all_words(top, len(mats)):
-        x = np.asarray(v, dtype=complex)
-        for letter in reversed(w):
-            x = mats[letter - 1] @ x
-        out[w] = complex(np.vdot(v, x))
+    return {w: chain_moment(mats, v, w) for w in all_words(top, len(mats))}
+
+
+def chain_moment(mats, v, letters: tuple[int, ...]) -> complex:
+    """<X_w v, v> for one word, by a dense product chain from the right."""
+    x = np.asarray(v, dtype=complex)
+    for letter in reversed(letters):
+        x = mats[letter - 1] @ x
+    return complex(np.vdot(v, x))
+
+
+def per_length_moments(vecs, n_gen: int, top: int) -> list[np.ndarray]:
+    """<x_w, x_e> to length top from an orbit, one matrix product per length.
+
+    ``vecs[n][r]`` is x_w for the length-n word of rank r, x_{k.u} = Y_k x_u
+    with Y self-adjoint, for n <= h. A length-m word splits as p.q with
+    |q| = min(h, m), and its row of products is conj(x_{I(p)}) against the
+    x_q; each length is then averaged with the conjugate of its reversal
+    and s_e set to 1.
+    """
+    h = len(vecs) - 1
+    out = [np.ones(1, dtype=complex)]
+    for m in range(1, top + 1):
+        b = min(h, m)
+        a = m - b
+        s = (vecs[a][_reversal_perm(a, n_gen)].conj() @ vecs[b].T).reshape(-1)
+        out.append((s + np.conj(s[_reversal_perm(m, n_gen)])) / 2.0)
     return out
+
+
+def back_substitution_inverse(U: np.ndarray) -> np.ndarray:
+    """Inverse of the upper triangle of U, one row at a time from the bottom."""
+    n = len(U)
+    X = np.zeros((n, n), dtype=np.result_type(U, float))
+    for i in range(n - 1, -1, -1):
+        X[i] = -(U[i, i + 1:] @ X[i + 1:])
+        X[i, i] += 1.0
+        X[i] /= U[i, i]
+    return X
 
 
 # --- per-block references for the whole-level moment pipeline ---------------

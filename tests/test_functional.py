@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import hankel_kernel, toeplitz_kernel
+from oracles import hankel_kernel, per_length_moments, toeplitz_kernel
 
 from ncpoly.errors import DataIncompleteError, PositivityError, ValidationError
 from ncpoly.functional import (MomentFunctional, from_representation, gram,
@@ -243,6 +243,24 @@ def test_from_representation_requires_hermitian():
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValidationError):
         from_representation(mats, v, max_degree=2)
+
+
+def test_from_representation_leaves_the_callers_matrices_alone():
+    rng = np.random.default_rng(61)
+    mats, v = random_representation(rng, 2, 4)
+    mats[0, 1, 2] += 1e-14  # within atol: accepted, and symmetrized on a copy
+    before = mats.copy()
+    f = from_representation(mats, v, max_degree=4)
+    assert mats.tobytes() == before.tobytes()
+    # the moments as computed before: the orbit of (X + X*) / 2, one length at a time
+    X = (before + before.conj().transpose(0, 2, 1)) / 2
+    vecs = [v[None, :]]
+    for _ in range(2):
+        vecs.append(np.concatenate([vecs[-1] @ Xk.T for Xk in X]))
+    want = per_length_moments(vecs, 2, 4)
+    got = np.array(list(f.moments.values()))
+    assert np.max(np.abs(got - np.concatenate(want))) <= 4 * np.spacing(
+        max(np.linalg.norm(x, axis=1).max() for x in vecs) ** 2)
 
 
 def test_from_representation_symmetry_is_exact():

@@ -1,4 +1,5 @@
 import functools
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fock_moment, gaussian_moments
+from oracles import chain_moment, fock_moment, gaussian_moments
 
 from ncpoly import functional as functional_mod
 from ncpoly import jacobi as jacobi_mod
@@ -243,6 +244,44 @@ def test_moment_builds_no_word(monkeypatch):
         moment(fam, w)
     moment(list(fam), ws[-1])
     assert built == []
+
+
+@st.composite
+def family_and_long_word(draw):
+    n_gen = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 3))
+    n = draw(st.integers(2 * level + 2, 2 * level + 6))
+    letters = draw(st.lists(st.integers(1, n_gen), min_size=n, max_size=n))
+    return random_family(n_gen, level), Word(tuple(letters))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=family_and_long_word())
+def test_moment_past_twice_the_level_is_the_product_chain(case):
+    # past 2 level + 1 the middle letters are applied, one matvec each
+    fam, w = case
+    e0 = np.eye(1, fam[0].size, dtype=complex)[0]
+    ref = chain_moment([J.matrix for J in fam], e0, w.letters)
+    for family in (fam, list(fam)):
+        mv = moment(family, w)
+        assert mv.truncated
+        assert abs(mv.value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_gen=st.integers(1, 3), level=st.integers(0, 3), data=st.data())
+def test_moment_refuses_a_foreign_letter_at_any_length(n_gen, level, data):
+    # lengths up to 2 level + 1 are read by rank, longer ones by matvecs
+    fam = random_family(n_gen, level)
+    n = data.draw(st.integers(1, 2 * level + 6), label="length")
+    letters = data.draw(st.lists(st.integers(1, n_gen), min_size=n, max_size=n), label="letters")
+    at = data.draw(st.integers(0, n - 1), label="at")
+    letters[at] = data.draw(st.integers(n_gen + 1, n_gen + 3), label="foreign")
+    w = Word(tuple(letters))
+    for family in (fam, list(fam)):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"word {w} uses letters beyond {n_gen} generators")):
+            moment(family, w)
 
 
 def test_family_matrices_are_read_only():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_array_moments, representation_moments
+from oracles import all_words, per_length_moments, rank_array_moments, representation_moments
 
 from ncpoly.errors import DataIncompleteError, ValidationError
-from ncpoly.functional import MomentFunctional, _MomentView, from_representation
+from ncpoly.functional import (MomentFunctional, _hankel_moments, _MomentView, _orbit,
+                               from_representation)
 from ncpoly.jacobi import hamburger_check
 from ncpoly.orthopoly import orthogonalize
 from ncpoly.recurrence import extract, favard
@@ -146,3 +147,30 @@ def test_hamburger_reads_a_view_as_its_dict(seed, n_gen, level, dim, edit, facto
     assert after == outcome(dict(view), n_gen, level)
     if edit == "palindrome" and factor == 1.0:
         assert after == before
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_gen=st.integers(1, 3), data=st.data())
+def test_orbit_moments_match_the_per_length_loop(n_gen, data):
+    h = data.draw(st.integers(0, {1: 8, 2: 5, 3: 3}[n_gen]), label="h")
+    dim = data.draw(st.integers(1, 24), label="dim")
+    spread = data.draw(st.floats(0.3, 2.5), label="spread")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    mats, v = random_representation(np.random.default_rng(seed), n_gen, dim, spread)
+    vecs = _orbit(mats, v[None, :], h)
+    norms = [float(np.linalg.norm(x, axis=1).max()) for x in vecs]
+    words = all_words(2 * h, n_gen)
+    index = {w: i for i, w in enumerate(words)}
+    for top in range(h, 2 * h + 1):
+        got = _hankel_moments(vecs, n_gen, top)
+        want = per_length_moments(vecs, n_gen, top)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for m, (g, w) in enumerate(zip(got, want)):
+            # s_w = <x_q, x_I(p)> with |q| = min(h, m): an ulp of it is one of
+            # its Cauchy-Schwarz bound |x_q| |x_I(p)|
+            b = min(h, m)
+            assert np.all(np.abs(g - w) <= 4 * np.spacing(norms[m - b] * norms[b]))
+        assert got[0].tolist() == [1.0]
+        flat = np.concatenate(got)
+        rev = [index[w[::-1]] for w in words[:len(flat)]]
+        assert np.array_equal(flat[rev], np.conj(flat))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_words, gram_schmidt_basis, hankel_kernel, toeplitz_kernel
+from oracles import (all_words, back_substitution_inverse, gram_schmidt_basis, hankel_kernel,
+                     toeplitz_kernel)
 
 from ncpoly.errors import NCPolyError, PositivityError, ValidationError
 from ncpoly.functional import (MomentFunctional, from_representation, gram,
                                require_strict_positivity)
-from ncpoly.orthopoly import (DETERMINANT_CAP, OrthoBasis, determinant_formula,
+from ncpoly.orthopoly import (_TRI_LEAF, DETERMINANT_CAP, _upper_inv, OrthoBasis, determinant_formula,
                               SzegoData, evaluate, orthogonalize,
                               orthonormality_residual, szego_recursion, word_product)
 from ncpoly.recurrence import extract, favard
@@ -373,3 +374,28 @@ def test_constructed_basis_keeps_its_own_rows():
     rows[Word.of(1)] = {}
     assert basis.coeffs[EMPTY][EMPTY] == 1.0
     assert np.array_equal(basis.matrix(), before)
+
+
+TRI_ORDERS = list(range(1, 81)) + [121, 127, 255, 364]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), complex_=st.booleans(), junk=st.booleans())
+def test_upper_inverse_matches_back_substitution(seed, complex_, junk):
+    # the transposed Cholesky factor of a well-conditioned Gram matrix, as
+    # _cholesky_basis inverts it; below the diagonal, zeros or junk that the
+    # inverse must not read
+    assert _TRI_LEAF < 80
+    rng = np.random.default_rng(seed)
+    for n in TRI_ORDERS:
+        W = rng.standard_normal((n, n))
+        if complex_:
+            W = W + 1j * rng.standard_normal((n, n))
+        U = np.linalg.cholesky(np.eye(n) + W @ W.conj().T / (2 * n)).T
+        if junk:
+            U = U + np.tril(rng.standard_normal((n, n)), -1)
+        got = _upper_inv(U)
+        assert got.dtype == U.dtype
+        assert np.all(np.tril(got, -1) == 0)
+        for ref in (back_substitution_inverse(U), np.linalg.inv(np.triu(U))):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

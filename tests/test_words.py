@@ -152,7 +152,7 @@ def test_word_normalizes_letters_as_before(letters):
 def counted_words(monkeypatch):
     """Empty word tables and a list of every Word constructed from here on."""
     calls = []
-    init, make = Word.__post_init__, words_mod._word
+    init, make, build = Word.__post_init__, words_mod._word, words_mod._build
 
     def counted(self):
         calls.append(self)
@@ -162,9 +162,16 @@ def counted_words(monkeypatch):
         calls.append(letters)
         return make(letters)
 
+    def counted_build(n, n_generators):
+        words = build(n, n_generators)
+        calls.extend(words)
+        return words
+
     monkeypatch.setattr(Word, "__post_init__", counted)
     monkeypatch.setattr(words_mod, "_word", counted_make)
+    monkeypatch.setattr(words_mod, "_build", counted_build)
     monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
+    monkeypatch.setattr(words_mod, "_RESERVED", type(words_mod._RESERVED)())
     return calls
 
 
@@ -218,6 +225,28 @@ def test_a_functional_holds_the_words_of_its_moments(counted_words):
     assert len(words_mod._TABLES) == 0
 
 
+def test_moment_views_share_one_reservation_per_length(counted_words):
+    calls = counted_words
+    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    f = from_representation(mats, np.array([1.0, 0.0]), max_degree=4)
+    g = from_representation(mats, np.array([0.0, 1.0]), max_degree=4)
+    short = from_representation(mats, np.array([1.0, 0.0]), max_degree=2)
+    held = f.moments._tables
+    assert g.moments._tables is held and len(held.tables) == 4
+    # a view of other lengths reserves its own, in the same tables
+    assert all(a is b for a, b in zip(short.moments._tables.tables, held.tables[:2]))
+    assert calls == [] and len(words_mod._TABLES) == 4 and len(words_mod._RESERVED) == 2
+    del f, held
+    gc.collect()
+    assert len(words_mod._TABLES) == 4 and len(words_mod._RESERVED) == 2
+    del g
+    gc.collect()
+    assert len(words_mod._TABLES) == 2 and len(words_mod._RESERVED) == 1
+    del short
+    gc.collect()
+    assert len(words_mod._TABLES) == 0 and len(words_mod._RESERVED) == 0
+
+
 def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
     calls = counted_words
     rng = np.random.default_rng(5)
@@ -244,18 +273,19 @@ def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
 
 def test_a_failed_build_publishes_no_table(monkeypatch):
     monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
-    make = words_mod._word
+    build = words_mod._build
 
-    def fail_late(letters):
-        if letters == (2, 2):
+    def fail_late(n, n_generators):
+        words = build(n, n_generators)
+        if (n, n_generators) == (2, 2):
             raise RuntimeError("interrupted")
-        return make(letters)
+        return words
 
-    monkeypatch.setattr(words_mod, "_word", fail_late)
+    monkeypatch.setattr(words_mod, "_build", fail_late)
     with pytest.raises(RuntimeError):
         enumerate_level(2, 2)
     assert len(words_mod._TABLES) == 0
-    monkeypatch.setattr(words_mod, "_word", make)
+    monkeypatch.setattr(words_mod, "_build", build)
     assert enumerate_level(2, 2) == [Word.of(1, 1), Word.of(1, 2), Word.of(2, 1), Word.of(2, 2)]
 
 
@@ -284,16 +314,18 @@ def test_concurrent_first_calls_read_one_complete_table(counted_words):
 
 
 def test_concurrent_reads_of_a_reserved_table_build_its_words_once(counted_words):
-    reserved = words_mod._table(11, 2, build=False)
+    held = words_mod._reserve(11, 2)
+    reserved = held.tables[-1]
     assert reserved.words is None and counted_words == []
     # a reservation never takes words away, and a reserved table stays the live one
-    assert words_mod._table(11, 2, build=False) is reserved
+    assert words_mod._reserve(11, 2).tables[-1] is reserved
+    assert words_mod._reserve(12, 2).tables[-2] is reserved
     got = []
     start = threading.Barrier(4, timeout=60)
 
     def read(build):
         start.wait()
-        got.append(words_mod._table(11, 2, build=build))
+        got.append(words_mod._table(11, 2) if build else words_mod._reserve(11, 2).tables[-1])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -309,6 +341,8 @@ def test_concurrent_reads_of_a_reserved_table_build_its_words_once(counted_words
     assert len(got) == 4 and all(t is reserved for t in got)
     assert len(reserved.words) == 2**11 and len(counted_words) == 2**11
     assert enumerate_level(11, 2)[5] is reserved.words[5]
+    words = reserved.words
+    assert words_mod._reserve(13, 2).tables[10] is reserved and reserved.words is words
 
 
 def test_shared_words_are_ordinary_words():
