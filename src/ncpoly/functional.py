@@ -530,9 +530,55 @@ def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
 
 
 def _min_eigenvalue(G: GramMatrix, tol: float) -> tuple[float, float]:
-    """(lambda_min by one ``eigvalsh``, threshold tol * max(1, largest real diagonal))."""
-    lam = float(np.linalg.eigvalsh(G.entries)[0])
-    return lam, tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
+    """(lambda_min by one ``eigvalsh``, the strictness threshold ``_threshold``)."""
+    return float(np.linalg.eigvalsh(G.entries)[0]), _threshold(G, tol)
+
+
+def _threshold(G: GramMatrix, tol: float) -> float:
+    """tol * max(1, largest real diagonal entry): the bound lambda_min must exceed."""
+    return tol * max(1.0, float(np.max(np.real(np.diag(G.entries)))))
+
+
+# unit roundoff and the smallest positive (subnormal) double
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_ETA = float(np.nextafter(0.0, 1.0))
+
+
+def _proves_above(M: np.ndarray, s: float) -> bool:
+    """True only when a floating-point Cholesky proves lambda_min(M) > s.
+
+    M is Hermitian; its lower triangle is read, as ``eigvalsh`` reads it. If
+    the Cholesky of M - (s + c) I runs to completion, where c covers its
+    rounding, then M - s I is positive definite (Rump, Verification of
+    positive definiteness, BIT 46 (2006), section 2):
+
+        c >= gamma / (1 - gamma) tr(M) + 4 n (2 (n + 1) + max_i M_ii) eta,
+
+    with gamma = k u / (1 - k u), u the unit roundoff, eta the smallest
+    subnormal and k = n + 1 for real entries. For complex entries k is
+    4 (n + 1), which covers the error of a complex product. c is taken twice
+    that bound, and the rounding of the shifted diagonal is added to the
+    shift. A floating-point Cholesky may run through a NaN without failing,
+    so a factor with a non-finite diagonal proves nothing. False says only
+    that no proof was found: the caller decides by the eigenvalues.
+    """
+    n = len(M)
+    k = (4 if np.iscomplexobj(M) else 1) * (n + 1)
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    diag = np.abs(np.real(np.diagonal(M)))
+    top = float(np.max(diag))
+    c = 2.0 * (gamma / (1.0 - gamma) * float(np.sum(diag))
+               + 4.0 * n * (2.0 * (n + 1) + top) * _ETA)
+    shift = s + c + 2.0 * _UNIT_ROUNDOFF * (top + s + c)
+    if not np.isfinite(shift):
+        return False
+    shifted = np.array(M)
+    shifted.flat[::n + 1] -= shift
+    try:
+        L = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.diagonal(L)).all())
 
 
 def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,

@@ -11,10 +11,11 @@ ladder driven by one scalar per word: left multiplication by a generator
 maps phi_sigma to phi_{k.sigma} up to a correction along an auxiliary
 family phi#, mirroring the classical orthogonal-polynomials-on-the-circle
 recursion. ``szego_recursion`` rebuilds the basis that way and verifies it
-against the Cholesky route. It decides positivity once (eigenvalues only)
-and factors the Gram matrix once, for that cross-check alone: each ladder
-scalar is read off the ladder's own rows. The phi# family is kept as a dense
-matrix; its Word-keyed rows are built on first read.
+against the Cholesky route. It decides positivity once, by a Cholesky of the
+shifted Gram matrix (``orthogonalize``), and factors the Gram matrix once
+more, for that cross-check alone: each ladder scalar is read off the
+ladder's own rows. The phi# family is kept as a dense matrix; its
+Word-keyed rows are built on first read.
 
 Coefficient rows pair conjugated against the Gram's first slot: the
 orthonormality identity reads conj(A) G A^T = I (for real moments this is
@@ -34,8 +35,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConsistencyError, PositivityError, ValidationError
-from .functional import (GramMatrix, MomentFunctional, _gram_at, _require_tol, gram,
-                         kernel_entry, require_strict_positivity)
+from .functional import (GramMatrix, MomentFunctional, _gram_at, _proves_above,
+                         _require_tol, _threshold, gram, kernel_entry,
+                         require_strict_positivity)
 from .words import EMPTY, Word, global_index, level_offsets, shift_map, words_up_to
 
 DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
@@ -119,11 +121,17 @@ def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
     """Orthonormal basis to a level via Cholesky of the Gram matrix.
 
     Raises PositivityError (with certificate) unless the Gram matrix is
-    strictly positive at the level. ``G`` is the Gram matrix at the level
-    when the caller has built it already.
+    strictly positive at the level, lambda_min > tol * max(1, largest
+    diagonal entry). A Cholesky of the Gram shifted past that threshold
+    decides (``functional._proves_above``); only when it fails does
+    ``require_strict_positivity`` decide on the eigenvalues, so a refusal
+    quotes lambda_min and carries its eigenvector. ``G`` is the Gram matrix
+    at the level when the caller has built it already.
     """
+    _require_tol(tol)
     G = _gram_at(f, level, G)
-    require_strict_positivity(f, level, tol, G)
+    if not _proves_above(G.entries, _threshold(G, tol)):
+        require_strict_positivity(f, level, tol, G)
     return _cholesky_basis(f.n_generators, G)
 
 

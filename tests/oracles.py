@@ -216,6 +216,33 @@ def back_substitution_inverse(U: np.ndarray) -> np.ndarray:
     return X
 
 
+def cayley_by_solves(mats: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The Cayley map of a point, one linear solve per generator.
+
+    Forward: W_j = (I + Z_N)^{-1} Z_j for j < N and W_N = i (I + Z_N)^{-1}
+    (I - Z_N). Inverse: Z_j = 2i (iI + W_N)^{-1} W_j and Z_N = (iI + W_N)^{-1}
+    (iI - W_N).
+    """
+    N, d = mats.shape[:2]
+    eye = np.eye(d)
+    A = (1j * eye if inverse else eye) + mats[-1]
+    out = np.empty((N, d, d), dtype=complex)
+    for k in range(N - 1):
+        out[k] = (2j if inverse else 1.0) * np.linalg.solve(A, mats[k])
+    if inverse:
+        out[N - 1] = np.linalg.solve(A, 1j * eye - mats[-1])
+    else:
+        out[N - 1] = 1j * np.linalg.solve(A, eye - mats[-1])
+    return out
+
+
+def siegel_middle(W: np.ndarray, W2: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(iI + W_N)^{-1} S (iI + W'_N)^{-*}: a solve from the left, then one from the right."""
+    eye = np.eye(len(S))
+    X = np.linalg.solve(1j * eye + W[-1], S)
+    return np.linalg.solve((1j * eye + W2[-1]).conj(), X.T).T
+
+
 # --- per-block references for the whole-level moment pipeline ---------------
 #
 # These are the block-by-block loops the library used before it read every

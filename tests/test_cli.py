@@ -9,7 +9,7 @@ from ncpoly.cli import main
 from ncpoly.functional import MomentFunctional, from_representation
 from ncpoly.opeval import random_ball_tuple
 from ncpoly.orthopoly import orthogonalize
-from ncpoly.serialize import save_basis, save_coeffs, save_moments, save_point
+from ncpoly.serialize import save_basis, save_coeffs, save_matrix, save_moments, save_point
 from ncpoly.words import EMPTY, Word
 
 from test_functional import count_linalg, random_representation
@@ -312,3 +312,26 @@ def test_kernel_cd_refuses_a_negative_level_or_bad_tol(capsys, tmp_path, hankel_
     assert code == 2
     assert rep["status"] == "error"
     assert ("level n must be >= 0" if "-1" in extra else "tol must be") in rep["metrics"]["message"]
+
+
+@pytest.mark.parametrize("region", ["ball", "siegel"])
+def test_kernel_reproduce_refuses_a_t_matrix_of_the_wrong_shape(capsys, tmp_path, region):
+    path = str(tmp_path / "wide.json")
+    save_matrix(np.ones((3, 4)), path)
+    code, rep = run(capsys, "kernel", "--op", "reproduce", "--random-points",
+                    "--random-region", region, "--n-gen", "2", "--dim", "3",
+                    "--t-matrix", path)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "T must be a 3 x 3 matrix" in rep["metrics"]["message"]
+
+
+@pytest.mark.parametrize("op", ["cayley", "szego-ball"])
+def test_kernel_refuses_a_point_with_no_generators(capsys, tmp_path, op):
+    path = str(tmp_path / "empty.json")
+    with open(path, "w") as fh:
+        json.dump({"n_generators": 0, "dim": 2, "region": "ball", "matrices": []}, fh)
+    code, rep = run(capsys, "kernel", "--op", op, "--point", path)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "n_generators >= 1" in rep["metrics"]["message"]

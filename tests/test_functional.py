@@ -1,10 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import hankel_kernel, per_length_moments, toeplitz_kernel
 
 from ncpoly.errors import DataIncompleteError, PositivityError, ValidationError
-from ncpoly.functional import (MomentFunctional, from_representation, gram,
+from ncpoly.functional import (MomentFunctional, _proves_above, from_representation, gram,
                                inner_product, kernel_entry,
                                require_strict_positivity, strict_positivity)
 from ncpoly.words import EMPTY, Word, words_up_to
@@ -376,3 +379,45 @@ def test_strict_positivity_refuses_a_bad_tol(tol):
         with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
             check(f, 1, tol)
     assert strict_positivity(f, 1, 0.0).ok
+
+
+def hermitian_with_spectrum(rng, lams, complex_entries):
+    """Q diag(lams) Q* for a random orthogonal or unitary Q, exactly Hermitian."""
+    n = len(lams)
+    A = rng.standard_normal((n, n))
+    if complex_entries:
+        A = A + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(A)[0]
+    M = (Q * lams) @ Q.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), complex_entries=st.booleans(),
+       log_gap=st.floats(-13.0, -6.0), above=st.booleans(),
+       shift=st.sampled_from([0.0, 1e-9, 1e-8, 3e-3]), top=st.sampled_from([1.0, 1e3, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_proven_bound_holds_in_forty_digits(n, complex_entries, log_gap, above, shift, top,
+                                              seed):
+    rng = np.random.default_rng(seed)
+    gap = 10.0 ** log_gap
+    lam_min = shift + gap if above else shift - gap
+    lams = lam_min + np.concatenate([[0.0], rng.uniform(0.0, top, n - 1)])
+    M = hermitian_with_spectrum(rng, lams, complex_entries)
+    proven = _proves_above(M, shift)
+    if proven:
+        with mpmath.workdps(40):
+            exact = mpmath.eigh(mpmath.matrix(M.tolist()), eigvals_only=True)
+            assert min(exact) > shift
+    if above and gap >= 1e-11 * top:
+        # the cover is about 1.2e-14 times the trace, below 2e-13 times top at n <= 12
+        assert proven
+
+
+def test_a_factor_through_a_nan_proves_nothing():
+    M = np.eye(3, dtype=complex)
+    M[2, 0] = M[0, 2] = np.nan
+    assert not _proves_above(M, 0.0)
+    M = np.eye(3)
+    M[1, 1] = np.inf
+    assert not _proves_above(M, 0.0)

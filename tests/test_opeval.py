@@ -16,6 +16,7 @@ from ncpoly.orthopoly import OrthoBasis, evaluate, orthogonalize, word_product
 from ncpoly.recurrence import extract
 from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
 
+import oracles
 from test_functional import count_linalg, random_representation
 from test_orthopoly import random_toeplitz
 
@@ -273,7 +274,8 @@ def series_reference(mats, mats2, T, tol, cap=SANDWICH_CAP):
 def half_space_reference(W, W2, S, tol):
     """4 sum_sigma Z_sigma (i + W_N)^-1 S (i + W'_N)^-* Z'_sigma* in ball coordinates."""
     Z, Z2 = cayley_inverse(W).mats, cayley_inverse(W2).mats
-    value, L, tail = series_reference(Z, Z2, opeval._siegel_middle(W, W2, S), tol / 4.0)
+    M = oracles.siegel_middle(W.mats, W2.mats, S)
+    value, L, tail = series_reference(Z, Z2, M, tol / 4.0)
     return 4.0 * value, L, 4.0 * tail
 
 
@@ -580,10 +582,10 @@ def test_cd_full_check_tests_each_membership_once(monkeypatch):
     rng = np.random.default_rng(68)
     t = random_siegel_tuple(rng, 2, 2, margin=0.4)
     t2 = random_siegel_tuple(rng, 2, 2, margin=0.4)
-    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh")
     cd_full_check(basis, coeffs, 2, t, t2)
-    # one membership test per point in cayley_inverse, one row norm per image
-    assert calls == ["eigvalsh"] * 4
+    # one membership decision per point on its way to the ball, one row norm per image
+    assert calls == ["cholesky", "cholesky", "eigvalsh", "eigvalsh"]
     # W_N* has the opposite imaginary part, so this point lies outside
     mats = t.mats.copy()
     mats[-1] = mats[-1].conj().T
@@ -705,3 +707,98 @@ def test_cd_checks_refuse_a_negative_level(n):
     for check in (cd_inner_identity, cd_full_check):
         with pytest.raises(ValidationError, match=f"level n must be >= 0, got {n}"):
             check(basis, coeffs, n, t, t2)
+
+
+def siegel_point(rng, N, d, lam_min):
+    """A half-space point whose defect has spectrum lam_min + [0, 1), lam_min included."""
+    W = 0.3 * (rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d)))
+    P = sum((W[k] @ W[k].conj().T for k in range(N - 1)), np.zeros((d, d)))
+    Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    lams = lam_min + np.concatenate([[0.0], rng.uniform(0.0, 1.0, d - 1)])
+    H = (Q * lams) @ Q.conj().T
+    X = rng.standard_normal((d, d))
+    W[-1] = (X + X.T) / 2 + 1j * (P + (H + H.conj().T) / 2)
+    return OperatorTuple(n_generators=N, dim=d, mats=W)
+
+
+def membership_refusal(t, which, tol):
+    try:
+        opeval.require_membership(t, which, tol)
+    except MembershipError as exc:
+        return str(exc)
+    return None
+
+
+def test_require_membership_agrees_with_the_eigenvalue_verdict():
+    rng = np.random.default_rng(72)
+    boundary = OperatorTuple(n_generators=1, dim=2, mats=np.eye(2)[None])
+    points = [boundary, OperatorTuple(n_generators=2, dim=2, mats=np.zeros((2, 2, 2)))]
+    for tol in (1e-8, 1e-6):
+        for rel in (-0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.5):
+            N, d = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            points.append(random_ball_tuple(rng, N, d, margin=tol * (1.0 + rel)))
+            points.append(siegel_point(rng, N, d, tol * (1.0 + rel)))
+            points.append(siegel_point(rng, N, d, -tol * (1.0 + rel)))
+    for t in points:
+        for which in ("ball", "siegel"):
+            for tol in (0.0, 1e-8, 1e-6):
+                res = membership(t, which, tol)
+                expected = None if res.inside else (
+                    f"tuple is not strictly inside the {which} region "
+                    f"(lambda_min = {res.lambda_min:.6g})")
+                assert membership_refusal(t, which, tol) == expected
+
+
+def test_require_membership_takes_eigenvalues_only_to_refuse(monkeypatch):
+    rng = np.random.default_rng(73)
+    inside = siegel_point(rng, 2, 4, 0.2)
+    outside = siegel_point(rng, 2, 4, -0.2)
+    calls = count_linalg(monkeypatch, "cholesky", "eigvalsh", "eigh")
+    opeval.require_membership(inside, "siegel")
+    assert calls == ["cholesky"]
+    calls.clear()
+    with pytest.raises(MembershipError, match="lambda_min = -0.2"):
+        opeval.require_membership(outside, "siegel")
+    assert calls == ["cholesky", "eigvalsh"]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cayley_matches_per_generator_solves(N):
+    rng = np.random.default_rng(74 + N)
+    for d in range(1, 9):
+        Z = random_ball_tuple(rng, N, d, margin=float(rng.uniform(0.05, 0.7)))
+        W = siegel_point(rng, N, d, float(rng.uniform(0.05, 0.7)))
+        for point, image, inverse in ((Z, cayley(Z), False), (W, cayley_inverse(W), True)):
+            ref = oracles.cayley_by_solves(point.mats, inverse=inverse)
+            assert image.region == ("ball" if inverse else "siegel")
+            assert np.max(np.abs(image.mats - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("where", ["ball", "siegel", "unchecked"])
+def test_a_middle_of_the_wrong_shape_or_non_finite_is_refused(monkeypatch, where):
+    rng = np.random.default_rng(78)
+    Z, Z2 = (random_ball_tuple(rng, 2, 3, margin=0.4) for _ in range(2))
+    if where == "siegel":
+        Z, Z2 = cayley(Z), cayley(Z2)
+    elif where == "unchecked":
+        Z, Z2 = (OperatorTuple(n_generators=2, dim=3, mats=t.mats) for t in (Z, Z2))
+    wide = np.ones((3, 4))
+    nan = np.eye(3)
+    nan[0, 1] = np.nan
+    runs = [(lambda M: reproduction_check(Z, Z2, M), "T")]
+    if where == "siegel":
+        runs.append((lambda M: f_sandwich(Z, Z2, M), "S"))
+    calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh", "inv", "solve")
+    for run, name in runs:
+        with pytest.raises(ValidationError,
+                           match=rf"{name} must be a 3 x 3 matrix, got shape \(3, 4\)"):
+            run(wide)
+        with pytest.raises(ValidationError, match=f"{name} has a non-finite entry"):
+            run(nan)
+    assert calls == []  # refused before any decomposition
+
+
+@pytest.mark.parametrize("N, d", [(0, 2), (2, 0)])
+def test_operator_tuple_refuses_no_generators_or_size_zero(N, d):
+    with pytest.raises(ValidationError, match="n_generators >= 1 and dim >= 1"):
+        OperatorTuple(n_generators=N, dim=d, mats=np.zeros((N, d, d)))

@@ -297,3 +297,11 @@ def test_files_are_one_line_of_json(tmp_path):
     assert json.loads(text) == {"matrix": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                                            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
                                            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+
+
+def test_a_point_with_no_generators_is_refused(tmp_path):
+    path = str(tmp_path / "empty.json")
+    with open(path, "w") as fh:
+        json.dump({"n_generators": 0, "dim": 2, "matrices": []}, fh)
+    with pytest.raises(ValidationError, match="n_generators >= 1"):
+        load_point(path)
