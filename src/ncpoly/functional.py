@@ -19,11 +19,13 @@ polynomials P, Q therefore have inner product <P, Q> = q^H G p.
 A functional the library computes (``from_representation``,
 ``recurrence.favard``) keeps its moments as one complex array per length,
 indexed by graded-lex rank; ``f.moments`` is a ``Word``-keyed view of them
-(``_MomentView``), read by rank arithmetic and iterated over the shared word
-tables, that turns into the plain dict it wraps on the first edit. Every
-other functional keeps a copy of the dict it was given. A computation reads
-a moment mapping once (``_ranked``): an unwritten view's arrays straight,
-with no word read or built, any other mapping by ``words.rank_groups``. Only
+(``_MomentView``), read by rank arithmetic and iterated over words built by
+``words_up_to`` for that iteration, that turns into the plain dict it wraps
+on the first edit. A functional given an unedited view keeps a new view of
+the same read-only arrays; every other functional keeps a copy of the
+mapping it was given. A computation reads a moment mapping once
+(``_ranked``): an unwritten view's arrays straight, with no word read or
+built, any other mapping by its words' letters (``words.rank_groups``). Only
 ``jacobi.hamburger_check``'s own functional keeps that read, from its
 involution check to its one Gram, so no read of moments a caller can edit
 goes stale. The hankel Gram is one gather from the graded-lex moment vector
@@ -64,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIncompleteError, PositivityError, ValidationError
-from .words import (EMPTY, Word, _reserve, _table, concat, involution, level_offsets,
-                    rank_groups, reversal, word_at, word_index, words_up_to)
+from .words import (EMPTY, Word, concat, involution, level_offsets, rank_groups, reversal,
+                    word_at, word_index, words_up_to)
 
 KINDS = ("hankel", "toeplitz", "generic")
 
@@ -83,14 +85,17 @@ def _require_tol(tol: float) -> None:
 _COMPLEX = frozenset([complex])
 
 
-def _complex_moments(moments: Mapping[Word, complex]) -> dict[Word, complex]:
-    """A dict copy with complex values, bit-identical to complex() of each.
+def _complex_moments(moments: Mapping[Word, complex]) -> MutableMapping[Word, complex]:
+    """A copy with complex values, bit-identical to complex() of each.
 
-    ``dict`` keeps the stored hash of every key of a dict; only a copy whose
-    values are not all complex is rebuilt, hashing its keys again. Any other
-    mapping is copied from its items, which a moment view yields from its
-    arrays rather than one ``__getitem__`` per word.
+    An unwritten ``_MomentView`` gets a new view of the same read-only
+    arrays: no word is built, and an edit of either turns only that one into
+    a dict. ``dict`` keeps the stored hash of every key of a dict; only a copy
+    whose values are not all complex is rebuilt, hashing its keys again. Any
+    other mapping is copied from its items.
     """
+    if type(moments) is _MomentView and moments._dict is None:
+        return _MomentView(moments.n_generators, moments._arrays)
     out = dict(moments) if isinstance(moments, dict) else dict(moments.items())
     if not {*map(type, out.values())} <= _COMPLEX:
         out = {w: complex(s) for w, s in out.items()}
@@ -100,24 +105,20 @@ def _complex_moments(moments: Mapping[Word, complex]) -> dict[Word, complex]:
 class _MomentView(MutableMapping):
     """Moments {w: s_w} over one complex array per length 0..top, indexed by rank.
 
-    A read by word is rank arithmetic. Iteration yields the shared-table
-    words in graded-lex order. The view reserves those tables when it is
-    made, which builds no ``Word``, and keeps them while it lives, so the
-    words are built once, by whichever read needs them first, and every
-    Word-keyed list or dict made meanwhile (``words_up_to``, Gram words, a
-    dict of these moments) shares them. The first set or delete turns the
-    view into a plain dict, which it then wraps and which the arrays no
-    longer back; until then ``_ranked`` reads the arrays themselves.
+    A read by word is rank arithmetic. Iteration yields words in graded-lex
+    order, built by ``words_up_to`` for each iteration; the view keeps no
+    ``Word``. The first set or delete turns the view into a plain dict, which
+    it then wraps and which the arrays no longer back; until then ``_ranked``
+    reads the arrays themselves.
     """
 
-    __slots__ = ("n_generators", "_arrays", "_tables", "_dict")
+    __slots__ = ("n_generators", "_arrays", "_dict")
 
     def __init__(self, n_generators: int, arrays: Sequence[np.ndarray]):
         for a in arrays:
             a.flags.writeable = False
         self.n_generators = n_generators
         self._arrays = tuple(arrays)
-        self._tables = _reserve(len(arrays) - 1, n_generators)
         self._dict: dict[Word, complex] | None = None
 
     def __getitem__(self, w):
@@ -133,9 +134,7 @@ class _MomentView(MutableMapping):
     def __iter__(self):
         if self._dict is not None:
             return iter(self._dict)
-        N = self.n_generators
-        return itertools.chain((EMPTY,), *(_table(n, N).words
-                                           for n in range(1, len(self._arrays))))
+        return iter(words_up_to(len(self._arrays) - 1, self.n_generators))
 
     def __len__(self) -> int:
         if self._dict is not None:

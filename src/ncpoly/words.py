@@ -9,32 +9,24 @@ rank(w) = sum (w_i - 1) N^(n - i), and the words of length <= L sit in one
 graded-lex vector at level_offsets(N, L)[n] + rank(w). Concatenation and
 reversal are then index arithmetic: rank(u.v) = rank(u) N^|v| + rank(v), and
 ``reversal`` and ``shift_map`` tabulate I(w) and k.u. ``Word`` objects are
-built only at the edge, where dicts keyed by words come in or go out.
-``rank_groups`` ranks a dict's words: by position where they are the live
-shared tables below, in order (as in ``words_up_to`` and a dict of a
-moment view), and by their letters otherwise.
+built only at the edge, where dicts keyed by words come in or go out, and
+``rank_groups`` ranks every such dict or list by its words' letters.
 
-The words going out are shared: one table of ``Word``s per (length, N),
-built on first use and kept while a result holds it. A functional's moments
-are not keyed by built words: the moment view of ``from_representation``
-and ``recurrence.favard`` keeps rank arrays and reserves the tables of its
-lengths (``_reserve``: one lookup, or one pass under the lock, and no word
-built), so the words are built at most once, by the first read that needs
-them, and while the view lives ``enumerate_level``, ``words_up_to`` and
-every Word-keyed dict or list made from rank arrays (Gram words, basis rows,
-point evaluations, a dict of the moments) reuse them. The cache refers to a
-table only weakly, so the words go when the last holder goes and the
-library keeps no ``Word`` of its own; with nothing held, every call builds
-its words afresh. A shared word is an ordinary ``Word``: equal to, and
-hashing like, one built by hand. The library generates its letters
-(``itertools.product`` over 1..N), so a table builds its words without
-re-checking them, as ``Word.parse`` does once its own checks pass, and
-with no Python call per word (``_build``: ``object.__new__`` and the slot
-setter, mapped in C); ``Word(...)`` and ``Word.of`` check and normalize
-every other word. A ``Word`` is a slotted frozen dataclass: 40 bytes and
-its letters tuple, and no ``__dict__`` or weak reference.
+Words going out are built per call: ``enumerate_level`` and ``words_up_to``
+build a new list of new words each time, and the library keeps no ``Word``
+of its own between calls. A functional's moments are not keyed by built
+words: the moment view of ``from_representation`` and ``recurrence.favard``
+keeps rank arrays and builds its words only when it is iterated. The
+library generates those letters itself (``itertools.product`` over 1..N),
+so it builds the words without re-checking them, as ``Word.parse`` does
+once its own checks pass, and with no Python call per word (``_build``:
+``object.__new__`` and the slot setter, mapped in C); ``Word(...)`` and
+``Word.of`` check and normalize every other word. Either way the result is
+an ordinary ``Word``: equal to, and hashing like, one built by hand. A
+``Word`` is a slotted frozen dataclass: 40 bytes and its letters tuple, and
+no ``__dict__`` or weak reference.
 
-The rank tables are different: ``reversal`` and ``shift_map`` are pure
+The rank tables are kept: ``reversal`` and ``shift_map`` are pure
 functions of (n, N) and (N, level), so each is built once per process,
 memoized, and returned read-only to every caller. A ``reversal`` entry
 costs N^n int64 and a ``shift_map`` entry one int64 per word of length 1 to
@@ -48,9 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-import threading
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -139,14 +128,15 @@ def _word(letters: tuple[int, ...]) -> Word:
     return w
 
 
-def _build(n: int, n_generators: int) -> tuple[Word, ...]:
-    """The words of length n by rank, as ``_word`` makes them, with no Python call per word.
+def _build(n: int, n_generators: int) -> list[Word]:
+    """A new list of the words of length n by rank, as ``_word`` makes them.
 
     ``object.__new__`` makes the words and the slot setter gives each its
-    letters from ``itertools.product``, both mapped in C.
+    letters from ``itertools.product``, both mapped in C: no Python call per
+    word.
     """
     letters = list(itertools.product(range(1, n_generators + 1), repeat=n))
-    words = tuple(map(object.__new__, itertools.repeat(Word, len(letters))))
+    words = list(map(object.__new__, itertools.repeat(Word, len(letters))))
     deque(map(_SET_LETTERS, words, letters), maxlen=0)
     return words
 
@@ -160,98 +150,18 @@ def concat(u: Word, v: Word) -> Word:
     return Word(u.letters + v.letters)
 
 
-class _Table:
-    """The words of one length by rank; holding it keeps them shared.
-
-    ``words`` is None while the table is only reserved (``_reserve``); the
-    next ``_table`` call for it builds them.
-    """
-
-    __slots__ = ("words", "__weakref__")
-
-    def __init__(self, words: tuple[Word, ...] | None):
-        self.words = words
-
-
-# (length, n_generators) -> that length's table, while something else holds it
-_TABLES: weakref.WeakValueDictionary[tuple[int, int], _Table] = weakref.WeakValueDictionary()
-_BUILD = threading.Lock()
-
-
-def _table(n: int, n_generators: int) -> _Table:
-    """The shared words of length n, lexicographically.
-
-    The words are built when the live table has none (it is only reserved),
-    or no table is live, under a lock, by ``_build``, which does not check
-    them (``Word(...)`` checks every word the library did not generate).
-    They are published complete, so concurrent first calls read one tuple
-    and a failed build publishes none. A table lives as long as a caller
-    holds the returned object or its reservation.
-    """
-    key = (n, n_generators)
-    table = _TABLES.get(key)
-    if table is None or table.words is None:
-        if n < 0:
-            raise ValueError("level must be >= 0")
-        with _BUILD:
-            table = _TABLES.get(key)
-            if table is None or table.words is None:
-                words = _build(n, n_generators)
-                if table is None:
-                    table = _TABLES[key] = _Table(words)
-                else:
-                    table.words = words
-    return table
-
-
-class _Reserved:
-    """The tables of lengths 1..top of one N, held together; see ``_reserve``."""
-
-    __slots__ = ("tables", "__weakref__")
-
-    def __init__(self, tables: tuple[_Table, ...]):
-        self.tables = tables
-
-
-# (top, n_generators) -> the reservation of lengths 1..top, while something holds it
-_RESERVED: weakref.WeakValueDictionary[tuple[int, int], _Reserved] = weakref.WeakValueDictionary()
-
-
-def _reserve(top: int, n_generators: int) -> _Reserved:
-    """The live tables of lengths 1..top, and new ones with no words yet where none is.
-
-    A reservation builds no ``Word``: every later ``_table`` call reads the
-    same words while it is held. One lookup while a reservation of the same
-    lengths is live, else one pass under the lock. Holding the result holds
-    every table in it, so the words are shared and live exactly as if each
-    table were held on its own.
-    """
-    key = (top, n_generators)
-    held = _RESERVED.get(key)
-    if held is None:
-        with _BUILD:
-            held = _RESERVED.get(key)
-            if held is None:
-                tables = []
-                for n in range(1, top + 1):
-                    table = _TABLES.get((n, n_generators))
-                    if table is None:
-                        table = _TABLES[n, n_generators] = _Table(None)
-                    tables.append(table)
-                held = _RESERVED[key] = _Reserved(tuple(tables))
-    return held
-
-
 def enumerate_level(n: int, n_generators: int) -> list[Word]:
-    """All words of length n, lexicographically (a new list of shared words)."""
-    return list(_table(n, n_generators).words)
+    """All words of length n, lexicographically, built by this call."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    return _build(n, n_generators)
 
 
 def words_up_to(level: int, n_generators: int) -> list[Word]:
-    """All words of length <= level in graded-lex order (a new list of shared words)."""
+    """All words of length <= level in graded-lex order, built by this call."""
     out: list[Word] = []
     for n in range(level + 1):
-        out.extend(_table(n, n_generators).words)
+        out.extend(_build(n, n_generators))
     return out
 
 
@@ -321,45 +231,13 @@ def global_index(w: Word, n_generators: int) -> int:
 
 
 def rank_groups(words, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
-    """Ranks of a sequence of words, grouped by length.
+    """Ranks of a sequence of words, grouped by length, read off their letters.
 
     Returns {n: (positions, ranks, reversal ranks)} for the words whose
     letters are all <= n_generators (positions index the sequence), and the
     positions of the other words. Ranks are int64 arrays, or object arrays
-    of Python ints once N^(n-1) reaches 2^62; the reversal ranks of a level
-    ranked by position are the shared, read-only ``reversal`` table.
-
-    A leading run of whole levels is ranked by position: the empty word
-    first, then at each length n the words of the live shared table, the
-    same objects in the same order (as in ``words_up_to`` and a dict made
-    from a moment view), rank r at offset r. The walk stops at the first level
-    that does not match; the words from there on are ranked by their letters.
+    of Python ints once N^(n-1) reaches 2^62.
     """
-    N = n_generators
-    words = list(words)
-    head, p, n = {}, 0, 0
-    # with N < 1 the levels past 0 hold no words, so none can be matched
-    while N >= 1 and len(words) - p >= N**n:
-        if n == 0:
-            same = words[0] == EMPTY
-        else:
-            table = _TABLES.get((n, N))
-            same = (table is not None and table.words is not None
-                    and all(map(operator.is_, words[p:p + N**n], table.words)))
-        if not same:
-            break
-        head[n] = (np.arange(p, p + N**n), np.arange(N**n), reversal(n, N))
-        p, n = p + N**n, n + 1
-    tail, foreign = _letter_groups(words[p:], N)
-    for n, (pos, ranks, rev) in tail.items():
-        tail[n] = (pos + p, ranks, rev)
-        if n in head:  # a list may repeat a level; a dict's repeat is all foreign
-            tail[n] = tuple(map(np.concatenate, zip(head.pop(n), tail[n])))
-    return dict(sorted({**head, **tail}.items())), [i + p for i in foreign]
-
-
-def _letter_groups(words: list, n_generators: int) -> tuple[dict[int, tuple], list[int]]:
-    """``rank_groups`` read off every word's letters."""
     N = n_generators
     letters = [w.letters for w in words]
     lens = np.fromiter(map(len, letters), dtype=np.int64, count=len(letters))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import all_words, per_length_moments, rank_array_moments, representation_moments
 
+from ncpoly import words as words_mod
 from ncpoly.errors import DataIncompleteError, ValidationError
 from ncpoly.functional import (MomentFunctional, _hankel_moments, _MomentView, _orbit,
                                from_representation)
@@ -101,6 +102,31 @@ def test_an_edited_view_is_the_dict_it_wraps(n_gen):
     assert view[EMPTY] == 1.0
     view.clear()
     assert len(view) == 0 and list(view) == [] and view == {}
+
+
+@pytest.mark.parametrize("n_gen", [1, 2, 3])
+def test_a_functional_of_a_view_shares_its_arrays(n_gen, monkeypatch):
+    f, _, _ = library_functional("favard", n_gen, seed=2)
+    built = []
+    monkeypatch.setattr(Word, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(words_mod, "_word", lambda letters: built.append(letters))
+    monkeypatch.setattr(words_mod, "_build", lambda n, N: built.append((n, N)) or [])
+    g = MomentFunctional(n_gen, "hankel", f.max_degree, f.moments)
+    assert built == []
+    monkeypatch.undo()
+    assert type(g.moments) is _MomentView and g.moments is not f.moments
+    assert all(a is b for a, b in zip(g.moments._arrays, f.moments._arrays))
+    assert g == f and list(g.moments) == list(f.moments)
+    assert np.array_equal(bits(g.moments.values()), bits(f.moments.values()))
+    # an edit of either turns only that one into a dict
+    ref = word_reference(f.moments)
+    w = Word.of(n_gen)
+    g.moments[w] = 2.0
+    assert f.moments._dict is None and f.moments == ref
+    h = MomentFunctional(n_gen, "hankel", f.max_degree, f.moments)
+    del f.moments[EMPTY]
+    assert h.moments._dict is None and h.moments == ref
+    assert g.moments[w] == 2.0 and EMPTY not in f.moments
 
 
 def outcome(moments, n_gen, level):

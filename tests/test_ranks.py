@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpoly import functional, jacobi, orthopoly, recurrence, words
+from ncpoly import functional, jacobi, orthopoly, recurrence
 from ncpoly.errors import DataIncompleteError, ValidationError
 from ncpoly.functional import (SYMMETRY_TOL, MomentFunctional, _involution_defect,
                                from_representation, gram, kernel_entry)
@@ -275,29 +275,7 @@ def test_rank_groups_by_position_matches_the_letters(seed, n_gen, level, source,
     else:
         seq = keys
     n_read = max(1, n_gen + read_shift)
-    got = rank_groups(seq, n_read)
-    assert_same_groups(got, rank_groups(fresh(seq), n_read))
-    assert_same_groups(got, words._letter_groups(fresh(seq), n_read))
-    assert f is not None  # its word tables stay live through the reads above
-
-
-def test_library_words_are_ranked_without_reading_letters(monkeypatch):
-    read = []
-    letter_groups = words._letter_groups
-
-    def counted(seq, n_gen):
-        read.append(len(seq))
-        return letter_groups(seq, n_gen)
-
-    monkeypatch.setattr(words, "_letter_groups", counted)
-    mats, v = random_representation(np.random.default_rng(16), 2, 12)
-    f = from_representation(mats, v, max_degree=4)
-    for seq in (f.moments, words_up_to(4, 2), words_up_to(2, 2)):
-        assert rank_groups(seq, 2)[1] == []
-    assert read == [0, 0, 0]
-    rank_groups(fresh(f.moments), 2)
-    rank_groups({**f.moments, EMPTY: 1.0}, 2)
-    assert read[3:] == [len(f.moments) - 1, 0]
+    assert_same_groups(rank_groups(seq, n_read), rank_groups(fresh(seq), n_read))
 
 
 def hamburger_outcome(moments, n_gen, level):
@@ -381,8 +359,6 @@ def test_involution_defect_matches_the_word_reference(seed, n_gen, top, shuffled
                                                       perturbed, long_word, foreign,
                                                       nonfinite):
     rng = np.random.default_rng(seed)
-    # live shared tables, so an unshuffled dict is ranked by position
-    tables = [words._table(n, n_gen) for n in range(top + 1)]
     base = random_hankel(rng, n_gen, top)
     keys = words_up_to(top, n_gen)
     for _ in range(min(dropped, len(keys) - 1)):
@@ -407,4 +383,3 @@ def test_involution_defect_matches_the_word_reference(seed, n_gen, top, shuffled
         moments[keys[int(rng.integers(len(keys)))]] = nonfinite
     got = defect_outcome(_involution_defect, moments, n_gen)
     assert got == defect_outcome(reference_defect, moments, n_gen)
-    assert len(tables) == top + 1  # the tables stay live through the check

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import pickle
 import sys
 import threading
@@ -150,7 +149,7 @@ def test_word_normalizes_letters_as_before(letters):
 
 @pytest.fixture
 def counted_words(monkeypatch):
-    """Empty word tables and a list of every Word constructed from here on."""
+    """A list of every Word constructed from here on."""
     calls = []
     init, make, build = Word.__post_init__, words_mod._word, words_mod._build
 
@@ -170,8 +169,6 @@ def counted_words(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", counted)
     monkeypatch.setattr(words_mod, "_word", counted_make)
     monkeypatch.setattr(words_mod, "_build", counted_build)
-    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
-    monkeypatch.setattr(words_mod, "_RESERVED", type(words_mod._RESERVED)())
     return calls
 
 
@@ -179,72 +176,26 @@ def test_enumerate_level_constructs_each_word_once(counted_words):
     calls = counted_words
     for N, n in ((1, 4), (2, 3), (3, 2), (2, 0)):
         calls.clear()
-        cold = enumerate_level(n, N)
-        assert len(cold) == N**n
-        assert len(calls) == N**n
-        # nothing holds the table, so the next call builds it again
+        first = enumerate_level(n, N)
+        assert len(first) == N**n and len(calls) == N**n
+        # every call builds its words afresh
         calls.clear()
-        assert enumerate_level(n, N) == cold and len(calls) == N**n
-        held = words_mod._table(n, N)
-        calls.clear()
-        warm = enumerate_level(n, N)
-        assert warm == cold and calls == []
-        assert all(a is b for a, b in zip(warm, held.words))
-        # a returned list is the caller's: changing it leaves the table alone
-        warm.reverse()
-        warm.append(Word.of(N + 1))
-        calls.clear()
-        assert enumerate_level(n, N) == cold and calls == []
-        del held
-        assert len(words_mod._TABLES) == 0
-    held = [words_mod._table(1, 2), words_mod._table(2, 2)]
+        second = enumerate_level(n, N)
+        assert second == first and len(calls) == N**n
+        assert not any(a is b for a, b in zip(first, second))
+        # a returned list is the caller's: changing it changes no later call
+        first.reverse()
+        first.append(Word.of(N + 1))
+        assert enumerate_level(n, N) == second
     calls.clear()
-    ws = words_up_to(3, 2)
-    assert len(calls) == 1 + 8  # levels 0 and 3; levels 1 and 2 are held
-    assert all(a is b for a, b in zip(ws[1:7], held[0].words + held[1].words))
+    assert len(words_up_to(3, 2)) == 15 and len(calls) == 15
 
 
-def test_a_functional_holds_the_words_of_its_moments(counted_words):
-    calls = counted_words
-    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
-    f = from_representation(mats, np.array([1.0, 0.0]), max_degree=4)
-    # the moments are rank arrays: their view reserves the tables of
-    # lengths 1 to 4 and builds no word
-    assert calls == [] and len(words_mod._TABLES) == 4
-    key = Word.of(1, 2)
-    calls.clear()
-    assert f.moments[key] == 0.0 and calls == []
-    # the first read of the words builds them once, into the reserved tables
-    ws = words_up_to(4, 2)
-    assert len(calls) == 1 + 30  # the empty word's table is not reserved
-    calls.clear()
-    assert all(w in f.moments for w in ws) and calls == []
-    assert all(a is b for a, b in zip(ws[1:], list(f.moments)[1:])) and calls == []
-    del f
-    gc.collect()
-    assert len(words_mod._TABLES) == 0
-
-
-def test_moment_views_share_one_reservation_per_length(counted_words):
-    calls = counted_words
-    mats = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
-    f = from_representation(mats, np.array([1.0, 0.0]), max_degree=4)
-    g = from_representation(mats, np.array([0.0, 1.0]), max_degree=4)
-    short = from_representation(mats, np.array([1.0, 0.0]), max_degree=2)
-    held = f.moments._tables
-    assert g.moments._tables is held and len(held.tables) == 4
-    # a view of other lengths reserves its own, in the same tables
-    assert all(a is b for a, b in zip(short.moments._tables.tables, held.tables[:2]))
-    assert calls == [] and len(words_mod._TABLES) == 4 and len(words_mod._RESERVED) == 2
-    del f, held
-    gc.collect()
-    assert len(words_mod._TABLES) == 4 and len(words_mod._RESERVED) == 2
-    del g
-    gc.collect()
-    assert len(words_mod._TABLES) == 2 and len(words_mod._RESERVED) == 1
-    del short
-    gc.collect()
-    assert len(words_mod._TABLES) == 0 and len(words_mod._RESERVED) == 0
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_a_negative_level_has_no_words(N):
+    with pytest.raises(ValueError, match=r"^level must be >= 0$"):
+        enumerate_level(-1, N)
+    assert words_up_to(-1, N) == []
 
 
 def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
@@ -265,42 +216,43 @@ def test_word_constructions_do_not_depend_on_earlier_calls(counted_words):
         calls.clear()
         pipeline()
         counts.append(len(calls))
-    # no moment is keyed by a built word: the Gram's words (lengths <= 2) and
-    # the words of length <= 3 are built once, into the tables the moment
-    # views reserve, plus the two level-0 words (the Gram's and words_up_to's)
-    assert counts == [1 + 6 + 1 + 8] * 3
+    # no moment is keyed by a built word: only the Gram's words (lengths <= 2)
+    # and the words of length <= 3 are built, each call afresh
+    assert counts == [7 + 15] * 3
 
 
-def test_a_failed_build_publishes_no_table(monkeypatch):
-    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
-    build = words_mod._build
-
-    def fail_late(n, n_generators):
-        words = build(n, n_generators)
-        if (n, n_generators) == (2, 2):
-            raise RuntimeError("interrupted")
-        return words
-
-    monkeypatch.setattr(words_mod, "_build", fail_late)
-    with pytest.raises(RuntimeError):
-        enumerate_level(2, 2)
-    assert len(words_mod._TABLES) == 0
-    monkeypatch.setattr(words_mod, "_build", build)
-    assert enumerate_level(2, 2) == [Word.of(1, 1), Word.of(1, 2), Word.of(2, 1), Word.of(2, 2)]
+def moment_pipeline(mats, v):
+    """Hamburger verdict and witness, Favard basis and both moment sets, as bits."""
+    f = from_representation(mats, v, 4)
+    res = hamburger_check(f.moments, 2, 2)
+    basis, f2 = favard(res.witness)
+    out = [res.strictly_positive, np.array(res.min_eigenvalue).view(np.int64).tolist(),
+           basis.matrix().view(np.int64).tolist()]
+    for blocks in (res.witness.A, res.witness.B):
+        out += [list(blocks), [b.view(np.int64).tolist() for b in blocks.values()]]
+    for g in (f, f2):
+        out += [list(g.moments), np.array(list(g.moments.values())).view(np.int64).tolist()]
+    return out
 
 
-def test_concurrent_first_calls_read_one_complete_table(counted_words):
-    got = []
+def test_concurrent_pipelines_match_a_serial_run():
+    rng = np.random.default_rng(7)
+    reps = []
+    for _ in range(4):
+        mats = rng.standard_normal((2, 8, 8))
+        reps.append((mats + mats.transpose(0, 2, 1), np.ones(8) / np.sqrt(8)))
+    serial = [moment_pipeline(*rep) for rep in reps]
+    got = [None] * 4
     start = threading.Barrier(4, timeout=60)
 
-    def first_call():
+    def run(k):
         start.wait()
-        got.append(words_mod._table(11, 2))
+        got[k] = moment_pipeline(*reps[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -308,41 +260,7 @@ def test_concurrent_first_calls_read_one_complete_table(counted_words):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 4 and all(t is got[0] for t in got)
-    assert len(got[0].words) == 2**11 and len(counted_words) == 2**11
-    assert words_mod._TABLES[11, 2] is got[0]
-
-
-def test_concurrent_reads_of_a_reserved_table_build_its_words_once(counted_words):
-    held = words_mod._reserve(11, 2)
-    reserved = held.tables[-1]
-    assert reserved.words is None and counted_words == []
-    # a reservation never takes words away, and a reserved table stays the live one
-    assert words_mod._reserve(11, 2).tables[-1] is reserved
-    assert words_mod._reserve(12, 2).tables[-2] is reserved
-    got = []
-    start = threading.Barrier(4, timeout=60)
-
-    def read(build):
-        start.wait()
-        got.append(words_mod._table(11, 2) if build else words_mod._reserve(11, 2).tables[-1])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(k % 2 == 0,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(got) == 4 and all(t is reserved for t in got)
-    assert len(reserved.words) == 2**11 and len(counted_words) == 2**11
-    assert enumerate_level(11, 2)[5] is reserved.words[5]
-    words = reserved.words
-    assert words_mod._reserve(13, 2).tables[10] is reserved and reserved.words is words
+    assert got == serial
 
 
 def test_shared_words_are_ordinary_words():
@@ -370,7 +288,6 @@ def test_a_moment_pipeline_checks_no_word(monkeypatch):
         init(self)
 
     monkeypatch.setattr(Word, "__post_init__", counted)
-    monkeypatch.setattr(words_mod, "_TABLES", type(words_mod._TABLES)())
     rng = np.random.default_rng(11)
     mats = rng.standard_normal((2, 8, 8))
     mats = mats + mats.transpose(0, 2, 1)
@@ -378,7 +295,7 @@ def test_a_moment_pipeline_checks_no_word(monkeypatch):
     res = hamburger_check(f.moments, 2, 2)
     _, f2 = favard(res.witness)
     assert len(f2.moments) == len(f.moments) == 31
-    # every word of the pipeline comes from a shared table
+    # the library builds the words of the pipeline without checking them
     assert checked == []
 
 
