@@ -23,7 +23,9 @@ from . import opeval
 from . import serialize
 from .errors import (ConsistencyError, ConvergenceError, DataIncompleteError,
                      MembershipError, PositivityError, ValidationError)
-from .functional import _require_tol, gram, require_strict_positivity, strict_positivity
+from .functional import (FAVARD_GRAM_TOL, FAVARD_ROUNDTRIP_TOL, KERNEL_TOL, REPORT_SLACK,
+                         SEPARATION_MARGIN_TOL, SEPARATION_TOL, STRICT_TOL, _require_tol, gram,
+                         require_strict_positivity, strict_positivity)
 from .orthopoly import (OrthoBasis, _cholesky_basis, _word_stack, determinant_formula,
                         orthogonalize, orthonormality_residual)
 from .recurrence import extract, favard, residual_check
@@ -104,7 +106,7 @@ def cmd_favard(args) -> tuple[str, dict, list]:
         artifacts.append(args.out_moments)
     metrics = {"levels": levels, "gram_residual": resid,
                "roundtrip_error": roundtrip}
-    status = "ok" if resid <= 1e-9 and roundtrip <= 1e-8 else "fail"
+    status = "ok" if resid <= FAVARD_GRAM_TOL and roundtrip <= FAVARD_ROUNDTRIP_TOL else "fail"
     return status, metrics, artifacts
 
 
@@ -210,7 +212,7 @@ def _op_reproduce(args) -> tuple[str, dict, list]:
     t, t2 = _load_points(args, region or "ball")
     T = serialize.load_matrix(args.t_matrix) if args.t_matrix else np.eye(t.dim)
     res = opeval.reproduction_check(t, t2, T, tol=args.tol)
-    threshold = max(args.tol, res.tail_bound) + 1e-12
+    threshold = max(args.tol, res.tail_bound) + REPORT_SLACK
     metrics = {"residual": res.residual, "tail_bound": res.tail_bound,
                "truncation_length": res.truncation_length,
                "threshold": threshold}
@@ -227,7 +229,7 @@ def _op_cd(args, full: bool) -> tuple[str, dict, list]:
     t, t2 = _load_points(args, "siegel")
     if full:
         res = opeval.cd_full_check(basis, coeffs, args.n, t, t2, tol=args.tol)
-        threshold = max(args.tol, res.tail_bound) + 1e-12
+        threshold = max(args.tol, res.tail_bound) + REPORT_SLACK
         metrics = {"residual": res.residual, "tail_bound": res.tail_bound,
                    "truncation_length": res.truncation_length,
                    "threshold": threshold}
@@ -262,13 +264,13 @@ def _op_separate(args) -> tuple[str, dict, list]:
         offword_max = max(offword_max,
                           float(np.max(np.abs(np.delete(blocks, r, axis=0)), initial=0.0)))
         rows.append(stars[r, i0:i0 + u])
-    rank = int(np.linalg.matrix_rank(np.vstack(rows), tol=1e-10))
+    rank = int(np.linalg.matrix_rank(np.vstack(rows), tol=SEPARATION_TOL))
     metrics = {"word": str(sigma), "n_tuples": len(tuples),
                "lambda_min": lam_min, "target_error": target_err,
                "offword_max": offword_max, "stacked_rank": rank,
                "rank_expected": 2 * k * u}
-    ok = (abs(lam_min - 0.5) <= 1e-9 and target_err <= 1e-10
-          and offword_max <= 1e-10 and rank == 2 * k * u)
+    ok = (abs(lam_min - 0.5) <= SEPARATION_MARGIN_TOL and target_err <= SEPARATION_TOL
+          and offword_max <= SEPARATION_TOL and rank == 2 * k * u)
     artifacts = []
     if args.out:
         serialize._write(args.out, {"tuples": [
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hamburger", help="decide positivity of a moment set")
     p.add_argument("--moments", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=STRICT_TOL)
     p.add_argument("--out-witness")
     p.set_defaults(func=cmd_hamburger)
 
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--unit-dim", type=int, default=1)
     p.add_argument("--n-gen", type=int)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=KERNEL_TOL)
     p.add_argument("--out")
     p.add_argument("--random-points", action="store_true")
     p.add_argument("--random-region", choices=["ball", "siegel"], default="ball")

@@ -50,9 +50,14 @@ through it, and ``jacobi.hamburger_check`` runs the same check on the read
 its Gram reuses. ``from_representation`` and ``recurrence.favard`` make their
 moments exact by construction and build their functional through
 ``MomentFunctional._exact_hankel``, which skips the copy and the involution
-check. Every positivity decision, region membership test, kernel sum and
-Szego ladder cross-check refuses a tolerance that is NaN, infinite or
-negative (``_require_tol``).
+check.
+
+Every threshold and limit of the library is named once, in the tolerance
+table below (``STRICT_TOL``, ``MEMBERSHIP_TOL``, ``SANDWICH_CAP`` and the
+rest); the modules that read an entry import it from here and read it at
+call time. Only the thresholds a caller varies are parameters: the ``tol``
+of ``jacobi.hamburger_check`` and of the kernel sums in ``opeval``, which
+refuse a tolerance that is NaN, infinite or negative (``_require_tol``).
 """
 
 from __future__ import annotations
@@ -71,9 +76,45 @@ from .words import (EMPTY, Word, concat, involution, level_offsets, rank_groups,
 
 KINDS = ("hankel", "toeplitz", "generic")
 
-# |s_{I(w)} - conj(s_w)| allowed, relative to max(1, max |s|); also the
-# Hermiticity tolerance of a generic kernel
+# The tolerance table: every threshold and limit of the library, named once.
+# A module imports the entries it reads into its own namespace and reads them
+# there at call time, so a test can patch one module's entry.
+
+# moment input: |s_{I(w)} - conj(s_w)| relative to max(1, max |s|), also the
+# Hermiticity tolerance of a generic kernel; |s_e - 1|; | ||v|| - 1 | and
+# |X - X*| relative to 1 + max |X| for ``from_representation``
 SYMMETRY_TOL = 1e-10
+UNITAL_TOL = 1e-9
+UNIT_VECTOR_TOL = 1e-9
+HERMITIAN_INPUT_TOL = 1e-12
+# decisions: Gram strictness, lambda_min > STRICT_TOL max(1, largest diagonal
+# entry), also the default tol of ``jacobi.hamburger_check`` and of
+# ``ncpoly hamburger``; region membership, lambda_min of the defect >
+# MEMBERSHIP_TOL; the Szego ladder against Cholesky, relative to max(1, max |a|)
+STRICT_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-8
+LADDER_TOL = 1e-8
+# recurrence blocks: A Hermitian and B_n upper triangular, B_n's diagonal
+# real and at the leading-coefficient ratio, the recurrence residual, and the
+# largest condition number of a B_n
+HERMITICITY_TOL = 1e-10
+DIAG_TOL = 1e-9
+RESIDUAL_TOL = 1e-9
+COND_BOUND = 1e8
+# kernel sums: the most levels of one sum, and the default tol of every sum
+# and of ``ncpoly kernel``
+SANDWICH_CAP = 64
+KERNEL_TOL = 1e-9
+# reports: the smallest entry of a ``hamburger_check`` certificate; the CLI's
+# status bounds, on ``favard``'s Gram residual and round trip, the slack of
+# ``reproduce`` and ``cd-full`` over their threshold, and for ``separate``
+# the gap of the defect to 1/2, then the unit entries and the stacked rank
+CERTIFICATE_CUTOFF = 1e-12
+FAVARD_GRAM_TOL = 1e-9
+FAVARD_ROUNDTRIP_TOL = 1e-8
+REPORT_SLACK = 1e-12
+SEPARATION_MARGIN_TOL = 1e-9
+SEPARATION_TOL = 1e-10
 
 
 def _require_tol(tol: float) -> None:
@@ -320,7 +361,7 @@ class MomentFunctional:
         if not exact:
             self.moments = _complex_moments(self.moments)
         s_e = self.moments.get(EMPTY)
-        if s_e is None or abs(s_e - 1.0) > 1e-9:
+        if s_e is None or abs(s_e - 1.0) > UNITAL_TOL:
             raise ValidationError("functional must be unital: moment at 'e' must be 1")
         if self.kind != "hankel":
             _require_finite(self.moments, np.fromiter(
@@ -505,21 +546,19 @@ class PositivityResult:
     certificate: dict[Word, complex] | None = None
 
 
-def strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
+def strict_positivity(f: MomentFunctional, level: int,
                       G: GramMatrix | None = None) -> PositivityResult:
     """Decide strict positive definiteness of the Gram matrix at a level.
 
-    The test is min eigenvalue > tol * max(1, largest diagonal entry), decided
-    on the eigenvalues alone. Only a refusal computes eigenvectors: its
-    certificate is the unit eigenvector for the minimal eigenvalue, keyed by
-    words, a polynomial of near-zero norm against the functional. The
+    The test is min eigenvalue > STRICT_TOL * max(1, largest diagonal entry),
+    decided on the eigenvalues alone. Only a refusal computes eigenvectors:
+    its certificate is the unit eigenvector for the minimal eigenvalue, keyed
+    by words, a polynomial of near-zero norm against the functional. The
     reported minimum is the eigenvalue decided on. ``G`` is the Gram matrix
-    at the level when the caller has built it already. A tol that is NaN,
-    infinite or negative raises ValidationError.
+    at the level when the caller has built it already.
     """
-    _require_tol(tol)
     G = _gram_at(f, level, G)
-    lam, threshold = _min_eigenvalue(G, tol)
+    lam, threshold = _min_eigenvalue(G, STRICT_TOL)
     if lam > threshold:
         return PositivityResult(ok=True, min_eigenvalue=lam, threshold=threshold)
     vec = np.linalg.eigh(G.entries)[1][:, 0]
@@ -580,9 +619,9 @@ def _proves_above(M: np.ndarray, s: float) -> bool:
     return bool(np.isfinite(np.diagonal(L)).all())
 
 
-def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9,
+def require_strict_positivity(f: MomentFunctional, level: int,
                               G: GramMatrix | None = None) -> PositivityResult:
-    res = strict_positivity(f, level, tol, G)
+    res = strict_positivity(f, level, G)
     if not res.ok:
         raise PositivityError(
             f"Gram matrix at level {level} is not strictly positive "
@@ -591,11 +630,14 @@ def require_strict_positivity(f: MomentFunctional, level: int, tol: float = 1e-9
     return res
 
 
-def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> MomentFunctional:
+def from_representation(mats, v, max_degree: int) -> MomentFunctional:
     """Moments s_w = <X_w v, v> of a tuple of Hermitian matrices at a unit vector.
 
     The resulting hankel functional is positive by construction: its Gram
-    matrix is the matrix of inner products of the vectors X_tau v.
+    matrix is the matrix of inner products of the vectors X_tau v. An X_k
+    with max |X_k - X_k*| above HERMITIAN_INPUT_TOL (1 + max |X_k|) or a
+    non-finite entry, and a v whose norm differs from 1 by more than
+    UNIT_VECTOR_TOL, raise ValidationError.
     """
     X = np.asarray(mats, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
@@ -607,7 +649,8 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     stop = n if finite.all() else int(np.argmin(finite))
     D = X[:stop] - X[:stop].conj().transpose(0, 2, 1)
     dev = np.abs(D).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(dev > atol * (1.0 + np.abs(X[:stop]).max(axis=(1, 2), initial=0.0)))
+    bad = np.flatnonzero(dev > HERMITIAN_INPUT_TOL
+                          * (1.0 + np.abs(X[:stop]).max(axis=(1, 2), initial=0.0)))
     if bad.size:
         k = int(bad[0])
         raise ValidationError(f"matrix {k + 1} is not Hermitian (deviation {dev[k]:.3e})")
@@ -616,7 +659,7 @@ def from_representation(mats, v, max_degree: int, atol: float = 1e-12) -> Moment
     X = X - D / 2.0
     v = np.asarray(v, dtype=complex).reshape(d)
     nrm = np.linalg.norm(v)
-    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm is refused too
+    if not abs(nrm - 1.0) <= UNIT_VECTOR_TOL:  # a NaN norm is refused too
         raise ValidationError("v must be a unit vector")
 
     vecs = _orbit(X, v[None, :], (max_degree + 1) // 2)

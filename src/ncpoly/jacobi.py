@@ -32,9 +32,9 @@ from itertools import product, repeat
 import numpy as np
 
 from .errors import DataIncompleteError, ValidationError
-from .functional import (SYMMETRY_TOL, MomentFunctional, _complex_moments,
-                         _hankel_moments, _involution_defect, _min_eigenvalue, _orbit,
-                         _ranked, _require_tol, _view_arrays, gram)
+from .functional import (CERTIFICATE_CUTOFF, STRICT_TOL, SYMMETRY_TOL, MomentFunctional,
+                         _complex_moments, _hankel_moments, _involution_defect,
+                         _min_eigenvalue, _orbit, _ranked, _require_tol, _view_arrays, gram)
 from .orthopoly import _cholesky_basis
 from .recurrence import RecurrenceCoeffs, _band, extract
 from .words import EMPTY, Word
@@ -177,15 +177,17 @@ class HamburgerResult:
 
 
 def hamburger_check(moments: Mapping[Word, complex], n_generators: int, level: int,
-                    tol: float = 1e-9) -> HamburgerResult:
+                    tol: float = STRICT_TOL) -> HamburgerResult:
     """Decide whether a finite moment set extends to a positive functional.
 
     Answer is yes iff the kernel K(sigma, tau) = s_{I(sigma).tau} is PSD on
     words of length <= level; the involution symmetry s_{I(w)} = conj(s_w)
     is a necessary condition checked first and reported as a refusal rather
-    than an input error. Strict positivity additionally yields a witness: the
-    recurrence blocks of the orthonormal family, from which a concrete
-    operator model can be assembled. A tol that is NaN, infinite or negative
+    than an input error. Strict positivity, lambda_min > tol * max(1, largest
+    diagonal entry), additionally yields a witness: the recurrence blocks of
+    the orthonormal family, from which a concrete operator model can be
+    assembled. At the default tol, STRICT_TOL, the verdict is that of
+    ``functional.strict_positivity``. A tol that is NaN, infinite or negative
     raises ValidationError.
 
     An unwritten moment view of the library (``from_representation``,
@@ -225,7 +227,7 @@ def hamburger_check(moments: Mapping[Word, complex], n_generators: int, level: i
     if lam < -thr:
         vecs = np.linalg.eigh(G.entries)[1]
         cert = {w: complex(vecs[i, 0]) for i, w in enumerate(G.words)
-                if abs(vecs[i, 0]) > 1e-12}
+                if abs(vecs[i, 0]) > CERTIFICATE_CUTOFF}
         return HamburgerResult(positive=False, strictly_positive=False,
                                min_eigenvalue=lam, certificate=cert,
                                reason=f"kernel has eigenvalue {lam:.6g} < 0 "

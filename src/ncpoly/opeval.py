@@ -9,22 +9,27 @@ Cayley map in the last coordinate,
 characterized by Im W_N - sum_{k<N} W_k W_k* > 0. ``membership`` reports
 lambda_min of the region's defect by ``eigvalsh``; ``require_membership``,
 and with it both Cayley maps and every half-space kernel sum, decides
-lambda_min > tol by a Cholesky of the defect shifted past tol and takes the
-eigenvalues only to refuse. Each direction of the Cayley map is one solve
-against 1 + Z_N or i + W_N, with every generator's right-hand side side by
-side; ``f_sandwich`` adds its middle term to those right-hand sides, so two
-factorizations take two half-space points to the ball.
+lambda_min > MEMBERSHIP_TOL by a Cholesky of the defect shifted past it and
+takes the eigenvalues only to refuse; the ball kernel sums decide the same
+threshold on the largest eigenvalue of sum Z_k Z_k*. Each direction of the
+Cayley map is one solve against 1 + Z_N or i + W_N, with every generator's
+right-hand side side by side; ``f_sandwich`` adds its middle term to those
+right-hand sides, so two factorizations take two half-space points to the
+ball.
 
 Kernel sums of the form
 sum_sigma Z_sigma T Z'_sigma* are evaluated by iterating the completely
 positive map Phi: T -> sum_k Z_k T Z'_k* and adding its powers until one of
-two tail bounds clears the requested tolerance; r, the product of the joint
-row norms, bounds ||Phi||. The a-priori bound ||T|| r^{L+1} / (1 - r) is
+two tail bounds clears the requested tolerance ``tol`` (by default
+KERNEL_TOL), within SANDWICH_CAP levels; r, the product of the joint row
+norms, bounds ||Phi||. The a-priori bound ||T|| r^{L+1} / (1 - r) is
 reported as it stands. The a-posteriori bound r ||Phi^L(T)||_F / (1 - r),
 read off the last term added, stops the sum once it is below both the
 tolerance and the rounding level eps ||S_L||_F of the sum, and the tolerance
 is reported. Everything downstream (Szego kernels in both pictures,
 reproduction identities, Christoffel-Darboux) reduces to such sandwiches.
+The thresholds are entries of the tolerance table in ``functional``; the
+kernel sums' ``tol`` is the only one a caller sets.
 
 Phi is written once, in ``_kernel_map``, which the sums and the middle terms
 of the reproduction and Christoffel-Darboux checks share. The generators are
@@ -45,12 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, MembershipError, ValidationError
-from .functional import MomentFunctional, _proves_above, _require_tol, gram
+from .functional import (KERNEL_TOL, MEMBERSHIP_TOL, SANDWICH_CAP, MomentFunctional,
+                         _proves_above, _require_tol, gram)
 from .orthopoly import OrthoBasis, _phi_table
 from .recurrence import RecurrenceCoeffs
 from .words import Word, global_index, level_offsets, words_up_to
-
-SANDWICH_CAP = 64
 
 
 @dataclass
@@ -101,23 +105,22 @@ def defect(t: OperatorTuple, which: str) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> MembershipResult:
-    _require_tol(tol)
+def membership(t: OperatorTuple, which: str) -> MembershipResult:
+    """lambda_min of the region's defect, and whether it exceeds MEMBERSHIP_TOL."""
     lam = float(np.linalg.eigvalsh(defect(t, which))[0])
-    return MembershipResult(inside=lam > tol, lambda_min=lam, which=which)
+    return MembershipResult(inside=lam > MEMBERSHIP_TOL, lambda_min=lam, which=which)
 
 
-def require_membership(t: OperatorTuple, which: str, tol: float = 1e-8) -> None:
+def require_membership(t: OperatorTuple, which: str) -> None:
     """Raise MembershipError unless the point lies strictly inside the region.
 
-    The verdict is ``membership``'s, lambda_min of the defect > tol, but a
-    Cholesky of the defect shifted past tol decides first
-    (``functional._proves_above``); only when it fails does ``membership``
-    take the eigenvalues, so a refusal quotes lambda_min.
+    The verdict is ``membership``'s, lambda_min of the defect >
+    MEMBERSHIP_TOL, but a Cholesky of the defect shifted past it decides
+    first (``functional._proves_above``); only when it fails does
+    ``membership`` take the eigenvalues, so a refusal quotes lambda_min.
     """
-    _require_tol(tol)
-    if not _proves_above(defect(t, which), tol):
-        res = membership(t, which, tol)
+    if not _proves_above(defect(t, which), MEMBERSHIP_TOL):
+        res = membership(t, which)
         if not res.inside:
             raise _outside(which, res.lambda_min)
 
@@ -127,18 +130,17 @@ def _outside(which: str, lam: float) -> MembershipError:
                            f"(lambda_min = {lam:.6g})")
 
 
-def cayley(t: OperatorTuple, tol: float = 1e-8) -> OperatorTuple:
+def cayley(t: OperatorTuple) -> OperatorTuple:
     """Ball tuple to half-space tuple; the last coordinate absorbs the i."""
-    return _cayley_map(t, "ball", tol)[0]
+    return _cayley_map(t, "ball")[0]
 
 
-def cayley_inverse(t: OperatorTuple, tol: float = 1e-8) -> OperatorTuple:
+def cayley_inverse(t: OperatorTuple) -> OperatorTuple:
     """Half-space tuple to ball tuple, the inverse of ``cayley``."""
-    return _cayley_map(t, "siegel", tol)[0]
+    return _cayley_map(t, "siegel")[0]
 
 
-def _cayley_map(t: OperatorTuple, which: str, tol: float = 1e-8,
-                extra: np.ndarray | None = None
+def _cayley_map(t: OperatorTuple, which: str, extra: np.ndarray | None = None
                 ) -> tuple[OperatorTuple, np.ndarray | None]:
     """The Cayley image of a point of the ``which`` region, and A^{-1} extra.
 
@@ -150,7 +152,7 @@ def _cayley_map(t: OperatorTuple, which: str, tol: float = 1e-8,
     (An explicit inverse times the same blocks is faster, but costs the
     half-space kernel sums up to 0.3 of their digits at d = 64 and 128.)
     """
-    require_membership(t, which, tol)
+    require_membership(t, which)
     N, d = t.n_generators, t.dim
     eye = np.eye(d)
     last = t.mats[-1]
@@ -182,7 +184,7 @@ def _row_norm(mats: np.ndarray) -> float:
 
 
 def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
-                  tol: float = 1e-9, cap: int = SANDWICH_CAP) -> KernelResult:
+                  tol: float = KERNEL_TOL) -> KernelResult:
     """sum over all words sigma of Z_sigma T Z'_sigma*, truncated rigorously.
 
     ``mats`` holds N >= 1 square d x d matrices, ``mats2`` N square d2 x d2
@@ -199,8 +201,9 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     ``tail_bound``, or where post_L <= min(tol, eps ||S_L||_F), reporting
     tol: the truncation then lies below the tolerance and below the rounding
     of the partial sum S_L itself. Raises once the open ball condition
-    r < 1 fails or neither rule holds within ``cap`` levels. A tol that is
-    NaN, infinite or negative raises ValidationError, as in every kernel sum.
+    r < 1 fails or neither rule holds within SANDWICH_CAP levels. A tol that
+    is NaN, infinite or negative raises ValidationError, as in every kernel
+    sum.
     """
     _require_tol(tol)
     mats = np.asarray(mats, dtype=complex)
@@ -215,7 +218,7 @@ def ball_sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray,
     for what, M in (("Z", mats), ("Z'", mats2), ("T", T)):
         if not np.isfinite(M).all():
             raise ValidationError(f"ball_sandwich: {what} has a non-finite entry")
-    return _sandwich(mats, mats2, T, _row_norm(mats) * _row_norm(mats2), tol, cap)
+    return _sandwich(mats, mats2, T, _row_norm(mats) * _row_norm(mats2), tol)
 
 
 def _kernel_map(mats: np.ndarray,
@@ -241,7 +244,7 @@ def _kernel_map(mats: np.ndarray,
 
 
 def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
-              tol: float, cap: int) -> KernelResult:
+              tol: float) -> KernelResult:
     """``ball_sandwich`` for a caller that knows r, the product of the row norms."""
     if r >= 1.0:
         raise ConvergenceError(f"joint row radius r = {r:.6g} >= 1, sum diverges")
@@ -273,9 +276,9 @@ def _sandwich(mats: np.ndarray, mats2: np.ndarray, T: np.ndarray, r: float,
         post = r * np.sqrt(np.vdot(term, term).real) / (1.0 - r)
         if post <= min(tol, eps * np.sqrt(np.vdot(total, total).real)):
             return KernelResult(value=total, truncation_length=L, tail_bound=tol)
-        if L >= cap:
+        if L >= SANDWICH_CAP:
             raise ConvergenceError(
-                f"tail bound needs more than {cap} levels at r = {r:.4g}, "
+                f"tail bound needs more than {SANDWICH_CAP} levels at r = {r:.4g}, "
                 f"tol = {tol:.2g}")
         term = phi(term)
         total += term
@@ -287,25 +290,25 @@ def _check_compatible(t: OperatorTuple, t2: OperatorTuple) -> None:
         raise ValidationError("operator tuples must share generator count and size")
 
 
-def szego_ball(t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
-               cap: int = SANDWICH_CAP) -> KernelResult:
+def szego_ball(t: OperatorTuple, t2: OperatorTuple, tol: float = KERNEL_TOL) -> KernelResult:
     """K(Z, Z') = sum_sigma Z_sigma Z'_sigma* for two ball points."""
     _require_tol(tol)
     _check_compatible(t, t2)
     r = _ball_row_norm(t) * _ball_row_norm(t2)
-    return _sandwich(t.mats, t2.mats, np.eye(t.dim, dtype=complex), r, tol, cap)
+    return _sandwich(t.mats, t2.mats, np.eye(t.dim, dtype=complex), r, tol)
 
 
-def _ball_row_norm(t: OperatorTuple, tol: float = 1e-8) -> float:
+def _ball_row_norm(t: OperatorTuple) -> float:
     """The block-row norm of a point, which must lie in the ball.
 
     One eigenvalue p = lambda_max(sum Z_k Z_k*) gives both: the point is
-    inside when 1 - p, the least eigenvalue of its ball defect, exceeds tol,
-    and the norm is sqrt(p). p is taken directly, not as 1 minus the
-    defect's eigenvalue, which would lose it to cancellation near the origin.
+    inside when 1 - p, the least eigenvalue of its ball defect, exceeds
+    MEMBERSHIP_TOL, and the norm is sqrt(p). p is taken directly, not as 1
+    minus the defect's eigenvalue, which would lose it to cancellation near
+    the origin.
     """
     p = _row_norm_sq(t.mats)
-    if not 1.0 - p > tol:
+    if not 1.0 - p > MEMBERSHIP_TOL:
         raise _outside("ball", 1.0 - p)
     return float(np.sqrt(max(0.0, p)))
 
@@ -321,7 +324,7 @@ def _square_middle(M, d: int, name: str) -> np.ndarray:
 
 
 def f_sandwich(t: OperatorTuple, t2: OperatorTuple, S: np.ndarray,
-               tol: float = 1e-9, cap: int = SANDWICH_CAP) -> KernelResult:
+               tol: float = KERNEL_TOL) -> KernelResult:
     """Half-space counterpart of the sandwich sum.
 
     F(W, W')[S] = 4 sum_sigma Z_sigma (i + W_N)^{-1} S (i + W'_N)^{-*}
@@ -337,16 +340,15 @@ def f_sandwich(t: OperatorTuple, t2: OperatorTuple, S: np.ndarray,
     S = _square_middle(S, t.dim, "S")
     Z, X = _cayley_map(t, "siegel", extra=S)
     Z2, Y = _cayley_map(t2, "siegel", extra=X.conj().T)
-    res = ball_sandwich(Z.mats, Z2.mats, Y.conj().T, tol / 4.0, cap)
+    res = ball_sandwich(Z.mats, Z2.mats, Y.conj().T, tol / 4.0)
     return KernelResult(value=4.0 * res.value,
                         truncation_length=res.truncation_length,
                         tail_bound=4.0 * res.tail_bound)
 
 
-def szego_siegel(t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
-                 cap: int = SANDWICH_CAP) -> KernelResult:
+def szego_siegel(t: OperatorTuple, t2: OperatorTuple, tol: float = KERNEL_TOL) -> KernelResult:
     """K(W, W') = F(W, W')[I] for two half-space points."""
-    return f_sandwich(t, t2, np.eye(t.dim), tol, cap)
+    return f_sandwich(t, t2, np.eye(t.dim), tol)
 
 
 @dataclass
@@ -366,14 +368,16 @@ def _resolve_region(t: OperatorTuple) -> str:
 
 
 def reproduction_check(t: OperatorTuple, t2: OperatorTuple, T: np.ndarray,
-                       tol: float = 1e-9, cap: int = SANDWICH_CAP) -> ReproductionResult:
+                       tol: float = KERNEL_TOL) -> ReproductionResult:
     """Feed T through the defining map and recover it through the kernel sum.
 
     In the ball the sandwich sum inverts T -> T - sum_k Z_k T Z'_k*; in the
     half-space f_sandwich inverts the map S(T) documented there. The returned
     residual is the max-abs gap between the recovered matrix and T. A T that
     is not a finite d x d matrix raises ValidationError before any point is
-    tested.
+    tested. The ball sum tests both points as ``szego_ball`` does, on their
+    row norms, so a point outside the ball raises MembershipError whatever
+    its tag.
     """
     _require_tol(tol)
     _check_compatible(t, t2)
@@ -382,12 +386,12 @@ def reproduction_check(t: OperatorTuple, t2: OperatorTuple, T: np.ndarray,
     if _resolve_region(t2) != region:
         raise ValidationError("points lie in different regions")
     if region == "ball":
-        mid = T - _kernel_map(t.mats, t2.mats)(T)
-        out = ball_sandwich(t.mats, t2.mats, mid, tol, cap)
+        r = _ball_row_norm(t) * _ball_row_norm(t2)
+        out = _sandwich(t.mats, t2.mats, T - _kernel_map(t.mats, t2.mats)(T), r, tol)
     else:
         S = (t.mats[-1] @ T - T @ t2.mats[-1].conj().T) / 2j \
             - _kernel_map(t.mats[:-1], t2.mats[:-1])(T)
-        out = f_sandwich(t, t2, S, tol, cap)
+        out = f_sandwich(t, t2, S, tol)
     residual = float(np.max(np.abs(out.value - T)))
     return ReproductionResult(residual=residual,
                               truncation_length=out.truncation_length,
@@ -510,8 +514,8 @@ class CDFullResult:
 
 
 def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
-                  t: OperatorTuple, t2: OperatorTuple, tol: float = 1e-9,
-                  cap: int = SANDWICH_CAP) -> CDFullResult:
+                  t: OperatorTuple, t2: OperatorTuple,
+                  tol: float = KERNEL_TOL) -> CDFullResult:
     """Recover K_n from the half-space kernel transform of its bracket data.
 
     K_n(W, W') = F(W, W')[bracket/(2i) - sum_{k<N} W_k K_n W'_k*], the
@@ -526,7 +530,7 @@ def cd_full_check(basis: OrthoBasis, coeffs: RecurrenceCoeffs, n: int,
     _require_tol(tol)
     K, bracket = _cd_terms(basis, coeffs, n, t, t2)
     S = bracket / 2j - _kernel_map(t.mats[:-1], t2.mats[:-1])(K)
-    out = f_sandwich(t, t2, S, tol, cap)
+    out = f_sandwich(t, t2, S, tol)
     residual = float(np.max(np.abs(K - out.value)))
     return CDFullResult(residual=residual, tail_bound=out.tail_bound,
                         truncation_length=out.truncation_length, kernel=K)

@@ -35,8 +35,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConsistencyError, PositivityError, ValidationError
-from .functional import (GramMatrix, MomentFunctional, _gram_at, _proves_above,
-                         _require_tol, _threshold, gram, kernel_entry,
+from .functional import (LADDER_TOL, STRICT_TOL, GramMatrix, MomentFunctional, _gram_at,
+                         _proves_above, _threshold, gram, kernel_entry,
                          require_strict_positivity)
 from .words import EMPTY, Word, global_index, level_offsets, shift_map, words_up_to
 
@@ -46,11 +46,17 @@ DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
 class OrthoBasis:
     """Triangular coefficients of an orthonormal family, rows by word.
 
-    The basis is held in one of two forms and the other is derived from it
-    on first use: the dense lower-triangular coefficient matrix over
-    graded-lex words (the form ``orthogonalize``, ``favard`` and
-    ``szego_recursion`` compute) or the Word-keyed ``coeffs`` rows (the form
-    the constructor takes). Both are read-only, so neither can go stale.
+    Every basis holds the dense lower-triangular coefficient matrix over
+    graded-lex words, the form computations read. The constructor takes
+    Word-keyed ``coeffs`` rows, keeps them and builds the matrix from them at
+    once; a basis computed as a matrix (``orthogonalize``, ``favard``,
+    ``szego_recursion``) builds its rows on first read. Both are read-only,
+    so neither can go stale.
+
+    The constructor raises ValidationError naming the word when a row or
+    column word is not among the words of length <= level, an entry lies
+    above the diagonal (its column word comes after its row word) or a row
+    is missing. A row may leave out entries below its diagonal; they are zero.
     """
 
     def __init__(self, n_generators: int, level: int,
@@ -58,7 +64,7 @@ class OrthoBasis:
         self.n_generators = n_generators
         self.level = level
         self._coeffs = _readonly_rows(coeffs)
-        self._matrix: np.ndarray | None = None
+        self._matrix = _rows_matrix(self._coeffs, n_generators, level)
 
     @classmethod
     def _from_matrix(cls, n_generators: int, level: int, A: np.ndarray) -> "OrthoBasis":
@@ -95,15 +101,6 @@ class OrthoBasis:
         lvl = self.level if level is None else level
         if lvl > self.level:
             raise ValidationError(f"basis only valid to level {self.level}")
-        if self._matrix is None:
-            ws = self.words()
-            idx = {w: i for i, w in enumerate(ws)}
-            A = np.zeros((len(ws), len(ws)), dtype=complex)
-            for i, w in enumerate(ws):
-                row = self._coeffs[w]
-                A[i, [idx[t] for t in row]] = list(row.values())
-            A.flags.writeable = False
-            self._matrix = A
         n = level_offsets(self.n_generators, lvl)[-1]
         return self._matrix[:n, :n].copy()
 
@@ -116,22 +113,49 @@ def _readonly_rows(coeffs: dict[Word, dict[Word, complex]]
     return MappingProxyType({w: MappingProxyType(dict(row)) for w, row in coeffs.items()})
 
 
-def orthogonalize(f: MomentFunctional, level: int, tol: float = 1e-9,
+def _rows_matrix(rows: Mapping[Word, Mapping[Word, complex]], n_generators: int,
+                 level: int) -> np.ndarray:
+    """The read-only lower-triangular matrix of Word-keyed rows, graded-lex.
+
+    A row or column word of more than ``level`` letters or a letter beyond
+    ``n_generators``, a column word after its row word and a missing row
+    raise ValidationError naming the word.
+    """
+    words = words_up_to(level, n_generators)
+    idx = {w: i for i, w in enumerate(words)}
+    A = np.zeros((len(words), len(words)), dtype=complex)
+    outside = f"is not a word of length <= {level} on {n_generators} generators"
+    for s, row in rows.items():
+        i = idx.get(s)
+        if i is None:
+            raise ValidationError(f"basis row {s} {outside}")
+        cols = [idx.get(t, -1) for t in row]
+        if not all(0 <= j <= i for j in cols):
+            t, j = next((t, j) for t, j in zip(row, cols) if not 0 <= j <= i)
+            raise ValidationError(f"basis entry ({s}, {t}) lies above the diagonal" if j > i
+                                  else f"basis entry ({s}, {t}): column {t} {outside}")
+        A[i, cols] = list(row.values())
+    if len(rows) < len(words):
+        raise ValidationError(f"basis row {next(w for w in words if w not in rows)} is missing")
+    A.flags.writeable = False
+    return A
+
+
+def orthogonalize(f: MomentFunctional, level: int,
                   G: GramMatrix | None = None) -> OrthoBasis:
     """Orthonormal basis to a level via Cholesky of the Gram matrix.
 
     Raises PositivityError (with certificate) unless the Gram matrix is
-    strictly positive at the level, lambda_min > tol * max(1, largest
+    strictly positive at the level, lambda_min > STRICT_TOL * max(1, largest
     diagonal entry). A Cholesky of the Gram shifted past that threshold
     decides (``functional._proves_above``); only when it fails does
     ``require_strict_positivity`` decide on the eigenvalues, so a refusal
     quotes lambda_min and carries its eigenvector. ``G`` is the Gram matrix
     at the level when the caller has built it already.
     """
-    _require_tol(tol)
     G = _gram_at(f, level, G)
-    if not _proves_above(G.entries, _threshold(G, tol)):
-        require_strict_positivity(f, level, tol, G)
+    if not _proves_above(G.entries, _threshold(G, STRICT_TOL)):
+        require_strict_positivity(f, level, G)
     return _cholesky_basis(f.n_generators, G)
 
 
@@ -193,18 +217,19 @@ def orthonormality_residual(basis: OrthoBasis, G: GramMatrix | np.ndarray,
     return float(np.max(np.abs(R - np.eye(n))))
 
 
-def determinant_formula(f: MomentFunctional, sigma: Word, tol: float = 1e-9) -> dict[Word, complex]:
+def determinant_formula(f: MomentFunctional, sigma: Word) -> dict[Word, complex]:
     """phi_sigma by the bordered determinant, expanded along its last row.
 
     The bordered matrix stacks kernel rows for all words strictly before
     sigma over the columns of words up to sigma, with the monomials as the
     final row; the normalizer is 1/sqrt(D_{sigma-1} D_sigma) with D the
     initial-segment Gram determinants. Intended as a small-size cross-check
-    of the Cholesky route.
+    of the Cholesky route; the Gram matrix at the length of sigma must be
+    strictly positive (``require_strict_positivity``).
     """
     if sigma == EMPTY:
         return {EMPTY: 1.0 + 0.0j}
-    require_strict_positivity(f, len(sigma), tol)
+    require_strict_positivity(f, len(sigma))
     ws = [w for w in words_up_to(len(sigma), f.n_generators) if w <= sigma]
     m = len(ws) - 1
     if m + 1 > DETERMINANT_CAP:
@@ -278,8 +303,7 @@ class _SharpRows(Mapping):
         return repr(self._built())
 
 
-def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
-                    ) -> tuple[OrthoBasis, SzegoData]:
+def szego_recursion(f: MomentFunctional, level: int) -> tuple[OrthoBasis, SzegoData]:
     """Rebuild the basis of a stationary functional by the scalar ladder.
 
     For each nonempty word w = k.sigma (in graded-lex order, with p the
@@ -293,10 +317,10 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
     because phi#_p is orthogonal to every F_v with e < v <= p, and every
     monomial of Y_k phi_sigma but its top one a_{sigma,sigma} F_w is such an
     F_v; so each scalar is one product of the phi#_p row with a Gram column.
-    The rebuilt basis must match the Cholesky route within tol (finite and
-    >= 0, or ValidationError); a mismatch raises ConsistencyError.
+    The rebuilt basis must match the Cholesky route within LADDER_TOL,
+    relative to max(1, largest coefficient); a mismatch raises
+    ConsistencyError.
     """
-    _require_tol(tol)
     if f.kind != "toeplitz":
         raise ValidationError("the scalar ladder applies to toeplitz functionals")
     G = gram(f, level)
@@ -333,7 +357,7 @@ def szego_recursion(f: MomentFunctional, level: int, tol: float = 1e-8
             sharp[i, :i + 1] = (s - gamma.conjugate() * y) / d
 
     dev = float(np.max(np.abs(phi - reference)))
-    if dev > tol * max(1.0, float(np.max(np.abs(reference)))):
+    if dev > LADDER_TOL * max(1.0, float(np.max(np.abs(reference)))):
         raise ConsistencyError(
             f"ladder basis deviates from Gram-Schmidt basis by {dev:.3e}")
     rebuilt = OrthoBasis._from_matrix(f.n_generators, level, phi)

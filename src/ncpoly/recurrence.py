@@ -27,20 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .functional import (GramMatrix, MomentFunctional, _gram_at, _hankel_moments, _MomentView,
-                         _orbit)
+from .functional import (COND_BOUND, DIAG_TOL, HERMITICITY_TOL, RESIDUAL_TOL, GramMatrix,
+                         MomentFunctional, _gram_at, _hankel_moments, _MomentView, _orbit)
 from .orthopoly import OrthoBasis, _shift_rows, _upper_inv
 from .words import level_offsets, shift_map, word_at
-
-HERMITICITY_TOL = 1e-10
-RESIDUAL_TOL = 1e-9
-DIAG_TOL = 1e-9
-COND_BOUND = 1e8
 
 
 @dataclass
 class RecurrenceCoeffs:
-    """Blocks A_{n,k} (N^n x N^n) and B_{n,k} (N^{n+1} x N^n), 0 <= n < levels."""
+    """Blocks A_{n,k} (N^n x N^n) and B_{n,k} (N^{n+1} x N^n), 0 <= n < levels.
+
+    The constructor keeps new dicts of its own complex copies of the blocks,
+    so the caller's dicts and arrays are neither changed nor read again.
+    """
 
     n_generators: int
     levels: int
@@ -49,17 +48,17 @@ class RecurrenceCoeffs:
 
     def __post_init__(self):
         N = self.n_generators
+        self.A = {key: np.array(a, dtype=complex) for key, a in self.A.items()}
+        self.B = {key: np.array(b, dtype=complex) for key, b in self.B.items()}
         for n in range(self.levels):
             for k in range(1, N + 1):
                 if (n, k) not in self.A or (n, k) not in self.B:
                     raise ValidationError(f"missing block at (n={n}, k={k})")
-                a = np.asarray(self.A[n, k], dtype=complex)
-                b = np.asarray(self.B[n, k], dtype=complex)
+                a, b = self.A[n, k], self.B[n, k]
                 if a.shape != (N**n, N**n):
                     raise ValidationError(f"A block (n={n}, k={k}) has shape {a.shape}")
                 if b.shape != (N ** (n + 1), N**n):
                     raise ValidationError(f"B block (n={n}, k={k}) has shape {b.shape}")
-                self.A[n, k], self.B[n, k] = a, b
 
     def b_block(self, n: int) -> np.ndarray:
         """Assembled B_n, columns ordered by the word k.sigma (graded-lex)."""
@@ -74,9 +73,13 @@ class RecurrenceCoeffs:
                         raise ValidationError(
                             f"{name} block (n={n}, k={k}) has a non-finite entry")
 
-    def validate(self, cond_bound: float = COND_BOUND) -> None:
+    def validate(self) -> None:
         """Reject non-finite blocks, non-Hermitian A, non-triangular/ill-conditioned B,
-        and a bad diagonal, naming the first offender in (n, k) order."""
+        and a bad diagonal, naming the first offender in (n, k) order.
+
+        The thresholds are HERMITICITY_TOL and DIAG_TOL, relative to max(1,
+        block scale), and COND_BOUND on the condition number of each B_n.
+        """
         N, L = self.n_generators, self.levels
         offs = level_offsets(N, L)
         # every level at once: A_{n,k} on the diagonal of Ad[k - 1], B_n on that of Bd
@@ -115,8 +118,8 @@ class RecurrenceCoeffs:
         for n in range(stop[0]):
             b, m = offs[n + 1] - 1, N ** (n + 1)
             # a one-row B_n has one singular value, so its condition number is 1
-            if (np.linalg.cond(Bd[b:b + m, b:b + m]) if m > 1 else 1.0) > cond_bound:
-                raise ValidationError(f"B_{n} condition number exceeds {cond_bound:.1e}")
+            if (np.linalg.cond(Bd[b:b + m, b:b + m]) if m > 1 else 1.0) > COND_BOUND:
+                raise ValidationError(f"B_{n} condition number exceeds {COND_BOUND:.1e}")
         if first:
             raise ValidationError(first[stop])
 
@@ -221,17 +224,18 @@ def _band(coeffs: RecurrenceCoeffs, level: int, hermitian: bool = True) -> list[
     return out
 
 
-def favard(coeffs: RecurrenceCoeffs, levels: int | None = None,
-           cond_bound: float = COND_BOUND) -> tuple[OrthoBasis, MomentFunctional]:
+def favard(coeffs: RecurrenceCoeffs,
+           levels: int | None = None) -> tuple[OrthoBasis, MomentFunctional]:
     """Rebuild the orthonormal family and its moment functional from blocks.
 
-    The basis is M^-1 for the column orbit M = [J_w e_0], |w| <= levels, by
-    graded-lex rank; the moments to length 2*levels are <J_q e_0, J_{I(p)} e_0>.
+    The blocks must pass ``RecurrenceCoeffs.validate``. The basis is M^-1 for
+    the column orbit M = [J_w e_0], |w| <= levels, by graded-lex rank; the
+    moments to length 2*levels are <J_q e_0, J_{I(p)} e_0>.
     """
     L = coeffs.levels if levels is None else levels
     if L < 1 or L > coeffs.levels:
         raise ValidationError(f"levels must be in 1..{coeffs.levels}")
-    coeffs.validate(cond_bound)
+    coeffs.validate()
     N = coeffs.n_generators
     # a level-n < L column has no level-L part, so A_L (absent when L is
     # coeffs.levels) is never read

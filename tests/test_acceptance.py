@@ -15,7 +15,7 @@ import pytest
 
 from oracles import fock_moment, gaussian_moments
 
-from ncpoly.functional import (MomentFunctional, from_representation, gram,
+from ncpoly.functional import (STRICT_TOL, MomentFunctional, from_representation, gram,
                                strict_positivity)
 from ncpoly.jacobi import build, hamburger_check, moment
 from ncpoly.opeval import (OperatorTuple, cayley, cayley_inverse, cd_inner_identity,
@@ -157,8 +157,8 @@ def test_07_hamburger_decisions():
             n_generators=1, kind="hankel", max_degree=4,
             moments={EMPTY: complex(vals[0]),
                      **{Word((1,) * n): complex(vals[n]) for n in range(1, 5)}})
-        res = hamburger_check(f.moments, 1, 2, tol=1e-12)
-        pos = strict_positivity(f, 2, tol=1e-12)
+        res = hamburger_check(f.moments, 1, 2, tol=STRICT_TOL)
+        pos = strict_positivity(f, 2)
         if res.strictly_positive == pos.ok and (not pos.ok or res.positive):
             agree += 1
     ok = rejects and accepts and agree == 50

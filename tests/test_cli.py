@@ -7,7 +7,7 @@ from oracles import catalan_moments
 
 from ncpoly.cli import main
 from ncpoly.functional import MomentFunctional, from_representation
-from ncpoly.opeval import random_ball_tuple
+from ncpoly.opeval import OperatorTuple, random_ball_tuple
 from ncpoly.orthopoly import orthogonalize
 from ncpoly.serialize import save_basis, save_coeffs, save_matrix, save_moments, save_point
 from ncpoly.words import EMPTY, Word
@@ -324,6 +324,31 @@ def test_kernel_reproduce_refuses_a_t_matrix_of_the_wrong_shape(capsys, tmp_path
     assert code == 2
     assert rep["status"] == "error"
     assert "T must be a 3 x 3 matrix" in rep["metrics"]["message"]
+
+
+@pytest.mark.parametrize("rows", [{"e": {"e": [1, 0]}, "1": {"1.1": [1, 0], "1": [1, 0]}},
+                                  {"e": {"e": [1, 0]}}], ids=["long-column", "missing-row"])
+def test_kernel_cd_refuses_a_malformed_basis(capsys, tmp_path, rows):
+    basis, coeffs = str(tmp_path / "basis.json"), str(tmp_path / "coeffs.json")
+    with open(basis, "w") as fh:
+        json.dump({"n_generators": 1, "level": 1, "coeffs": rows}, fh)
+    save_coeffs(scalar_blocks(1, [0.0], [1.0]), coeffs)
+    code, rep = run(capsys, "kernel", "--op", "cd-inner", "--basis", basis, "--coeffs", coeffs,
+                    "--n", "0", "--random-points", "--random-region", "siegel",
+                    "--n-gen", "1", "--dim", "2")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "basis" in rep["metrics"]["message"]
+
+
+def test_kernel_reproduce_refuses_a_ball_tagged_point_outside_the_ball(capsys, tmp_path):
+    path = str(tmp_path / "out.json")
+    save_point(OperatorTuple(n_generators=2, dim=2, mats=[1.5 * np.eye(2), np.zeros((2, 2))],
+                             region="ball"), path)
+    code, rep = run(capsys, "kernel", "--op", "reproduce", "--point", path)
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert "ball region" in rep["metrics"]["message"]
 
 
 @pytest.mark.parametrize("op", ["cayley", "szego-ball"])

@@ -371,16 +371,6 @@ def test_from_representation_refuses_a_non_finite_vector(bad):
         from_representation(mats, v, max_degree=2)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
-def test_strict_positivity_refuses_a_bad_tol(tol):
-    mats, v = random_representation(np.random.default_rng(51), 2, 8)
-    f = from_representation(mats, v, max_degree=2)
-    for check in (strict_positivity, require_strict_positivity):
-        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
-            check(f, 1, tol)
-    assert strict_positivity(f, 1, 0.0).ok
-
-
 def hermitian_with_spectrum(rng, lams, complex_entries):
     """Q diag(lams) Q* for a random orthogonal or unitary Q, exactly Hermitian."""
     n = len(lams)

@@ -12,8 +12,8 @@ from oracles import chain_moment, fock_moment, gaussian_moments
 from ncpoly import functional as functional_mod
 from ncpoly import jacobi as jacobi_mod
 from ncpoly.errors import DataIncompleteError, ValidationError
-from ncpoly.functional import (MomentFunctional, _involution_defect, from_representation,
-                               strict_positivity)
+from ncpoly.functional import (STRICT_TOL, MomentFunctional, _involution_defect,
+                               from_representation, strict_positivity)
 from ncpoly.jacobi import build, hamburger_check, moment, word_apply
 from ncpoly.orthopoly import orthogonalize
 from ncpoly.recurrence import extract
@@ -193,9 +193,10 @@ def test_hamburger_agrees_with_strict_positivity():
         s3 = float(rng.uniform(-2, 2))
         s4 = float(rng.uniform(-0.5, 4.0))
         f = hankel_n1([1.0, s1, s2, s3, s4])
-        res = hamburger_check(f.moments, 1, 2, tol=1e-12)
-        pos = strict_positivity(f, 2, tol=1e-12)
-        assert res.positive == (pos.min_eigenvalue > -1e-9)
+        res = hamburger_check(f.moments, 1, 2, tol=STRICT_TOL)
+        pos = strict_positivity(f, 2)
+        assert res.positive == (pos.min_eigenvalue >= -pos.threshold)
+        assert res.strictly_positive == pos.ok
         assert res.min_eigenvalue == pos.min_eigenvalue
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from ncpoly import opeval
 from ncpoly.errors import ConvergenceError, MembershipError, ValidationError
-from ncpoly.functional import from_representation
+from ncpoly.functional import MEMBERSHIP_TOL, _proves_above, from_representation
 from ncpoly.opeval import (SANDWICH_CAP, OperatorTuple, _cd_bracket, ball_sandwich,
                            cayley, cayley_inverse, cd_full_check, cd_inner_identity, cd_kernel,
+                           defect,
                            evaluate_all, f_sandwich, membership,
                            random_ball_tuple, random_siegel_tuple,
                            reproducing_residual, reproduction_check,
@@ -82,17 +85,17 @@ def test_cayley_requires_ball_membership():
         cayley(OperatorTuple(n_generators=1, dim=2, mats=mats))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-def test_membership_refuses_a_bad_tol(tol):
-    # norm 1.2: lambda_min(I - Z Z*) = -0.44, which a tol of -1 would call inside
+def test_membership_refuses_a_point_outside_the_ball():
+    # norm 1.2: lambda_min(I - Z Z*) = -0.44
     outside = OperatorTuple(n_generators=1, dim=2, mats=1.2 * np.eye(2)[None])
-    assert not membership(outside, "ball").inside
+    res = membership(outside, "ball")
+    assert not res.inside and abs(res.lambda_min + 0.44) < 1e-12
+    for check in (lambda t: opeval.require_membership(t, "ball"), cayley):
+        with pytest.raises(MembershipError, match="ball region"):
+            check(outside)
     siegel = cayley(OperatorTuple(n_generators=1, dim=2, mats=0.5 * np.eye(2)[None]))
-    for check, t in ((lambda t, tol: membership(t, "ball", tol), outside),
-                     (lambda t, tol: opeval.require_membership(t, "ball", tol), outside),
-                     (cayley, outside), (cayley_inverse, siegel)):
-        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
-            check(t, tol)
+    assert membership(siegel, "siegel").inside
+    assert np.max(np.abs(cayley_inverse(siegel).mats - 0.5 * np.eye(2))) < 1e-14
 
 
 def test_ball_sandwich_matches_brute_force():
@@ -146,11 +149,17 @@ def test_ball_sandwich_diverges_outside():
         ball_sandwich(mats, mats, np.eye(2))
 
 
-def test_ball_sandwich_respects_cap():
+def test_ball_sandwich_respects_cap(monkeypatch):
     mats = np.zeros((1, 1, 1), dtype=complex)
     mats[0] = 0.999
-    with pytest.raises(ConvergenceError):
-        ball_sandwich(mats, mats, np.eye(1), tol=1e-12, cap=64)
+    with pytest.raises(ConvergenceError, match="more than 64 levels"):
+        ball_sandwich(mats, mats, np.eye(1), tol=1e-12)
+    # the cap is read from the table at call time
+    monkeypatch.setattr(opeval, "SANDWICH_CAP", 5)
+    mats[0] = 0.5
+    with pytest.raises(ConvergenceError, match="more than 5 levels"):
+        ball_sandwich(mats, mats, np.eye(1), tol=1e-12)
+    assert ball_sandwich(mats, mats, np.eye(1), tol=0.1).truncation_length <= 5
 
 
 def prior_length(mats, mats2, T, tol):
@@ -183,8 +192,9 @@ def test_ball_sandwich_value_within_tail_bound_of_converged_sum(seed, n_gen, dim
     tol = 10.0 ** log_tol
     ref = prior_sum(Z, Z2, T, prior_length(Z, Z2, T, 1e-16 * np.linalg.norm(T, 2)))
     levels = prior_length(Z, Z2, T, tol)
-    # the a-priori length as cap: the sum may stop earlier, never later
-    res = ball_sandwich(Z, Z2, T, tol=tol, cap=levels)
+    # the a-priori length as the cap: the sum may stop earlier, never later
+    with mock.patch.object(opeval, "SANDWICH_CAP", levels):
+        res = ball_sandwich(Z, Z2, T, tol=tol)
     assert res.truncation_length <= levels
     assert res.tail_bound <= tol
     gap = np.linalg.norm(res.value - ref, 2)
@@ -204,7 +214,7 @@ def test_sandwich_a_priori_rule_fires_where_the_lower_bound_is_tight():
             Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
             for T in (c * np.eye(d, dtype=complex), c * Q):
                 tol = float(np.linalg.norm(T, 2)) * r ** 4 / (1.0 - r)
-                res = opeval._sandwich(mats, mats, T, r, tol, SANDWICH_CAP)
+                res = opeval._sandwich(mats, mats, T, r, tol)
                 assert (res.truncation_length, res.tail_bound) == (3, tol)
 
 
@@ -360,7 +370,7 @@ def test_szego_ball_fast_decay_returns_under_cap():
     Z2 = random_ball_tuple(rng, 2, 32, margin=0.1)
     eye = np.eye(32)
     assert prior_length(Z.mats, Z2.mats, eye, 1e-10) > SANDWICH_CAP
-    res = szego_ball(Z, Z2, tol=1e-10, cap=SANDWICH_CAP)
+    res = szego_ball(Z, Z2, tol=1e-10)
     assert res.truncation_length <= SANDWICH_CAP
     K = res.value
     gap = K - eye - sum(Z.mats[k] @ K @ Z2.mats[k].conj().T for k in range(2))
@@ -455,6 +465,24 @@ def test_reproduction_ball_and_siegel():
     res = reproduction_check(W, W2, T, tol=1e-9)
     assert res.residual <= res.tail_bound + 1e-12
     assert res.residual < 1e-9
+
+
+def test_reproduction_tests_ball_points_on_their_row_norms():
+    rng = np.random.default_rng(59)
+    Z, Z2 = (random_ball_tuple(rng, 2, 3, margin=0.5) for _ in range(2))
+    T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    # row norm 1.5, and 1 - p = 1e-9 below MEMBERSHIP_TOL, both tagged "ball"
+    far = OperatorTuple(n_generators=2, dim=3, mats=np.sqrt(2.25 / 0.5) * Z.mats, region="ball")
+    near = OperatorTuple(n_generators=2, dim=3, mats=np.sqrt((1.0 - 1e-9) / 0.5) * Z.mats,
+                         region="ball")
+    for t in (far, near):
+        for pair in ((t, Z2), (Z2, t)):
+            with pytest.raises(MembershipError, match="ball region"):
+                reproduction_check(*pair, T)
+    res = reproduction_check(Z, Z2, T)
+    ref = ball_sandwich(Z.mats, Z2.mats, T - opeval._kernel_map(Z.mats, Z2.mats)(T))
+    assert (res.truncation_length, res.tail_bound) == (ref.truncation_length, ref.tail_bound)
+    assert res.residual == float(np.max(np.abs(ref.value - T)))
 
 
 def test_reproduction_rejects_mixed_regions():
@@ -721,9 +749,9 @@ def siegel_point(rng, N, d, lam_min):
     return OperatorTuple(n_generators=N, dim=d, mats=W)
 
 
-def membership_refusal(t, which, tol):
+def membership_refusal(t, which):
     try:
-        opeval.require_membership(t, which, tol)
+        opeval.require_membership(t, which)
     except MembershipError as exc:
         return str(exc)
     return None
@@ -733,20 +761,26 @@ def test_require_membership_agrees_with_the_eigenvalue_verdict():
     rng = np.random.default_rng(72)
     boundary = OperatorTuple(n_generators=1, dim=2, mats=np.eye(2)[None])
     points = [boundary, OperatorTuple(n_generators=2, dim=2, mats=np.zeros((2, 2, 2)))]
-    for tol in (1e-8, 1e-6):
+    for edge in (MEMBERSHIP_TOL, 1e-6):
         for rel in (-0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.5):
             N, d = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-            points.append(random_ball_tuple(rng, N, d, margin=tol * (1.0 + rel)))
-            points.append(siegel_point(rng, N, d, tol * (1.0 + rel)))
-            points.append(siegel_point(rng, N, d, -tol * (1.0 + rel)))
+            points.append(random_ball_tuple(rng, N, d, margin=edge * (1.0 + rel)))
+            points.append(siegel_point(rng, N, d, edge * (1.0 + rel)))
+            points.append(siegel_point(rng, N, d, -edge * (1.0 + rel)))
     for t in points:
         for which in ("ball", "siegel"):
-            for tol in (0.0, 1e-8, 1e-6):
-                res = membership(t, which, tol)
-                expected = None if res.inside else (
-                    f"tuple is not strictly inside the {which} region "
-                    f"(lambda_min = {res.lambda_min:.6g})")
-                assert membership_refusal(t, which, tol) == expected
+            res = membership(t, which)
+            assert res.inside == (res.lambda_min > MEMBERSHIP_TOL)
+            expected = None if res.inside else (
+                f"tuple is not strictly inside the {which} region "
+                f"(lambda_min = {res.lambda_min:.6g})")
+            assert membership_refusal(t, which) == expected
+            # at other thresholds the shifted Cholesky proves nothing the
+            # eigenvalues deny
+            M = defect(t, which)
+            lam = float(np.linalg.eigvalsh(M)[0])
+            for s in (0.0, 1e-6):
+                assert not _proves_above(M, s) or lam > s
 
 
 def test_require_membership_takes_eigenvalues_only_to_refuse(monkeypatch):

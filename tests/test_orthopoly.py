@@ -164,15 +164,6 @@ def test_szego_rejects_contradictory_data():
         szego_recursion(f, 2)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
-def test_szego_recursion_refuses_a_bad_tol(tol):
-    # a NaN tol would turn off the ladder-against-Cholesky cross-check
-    f = random_toeplitz(np.random.default_rng(19), 2, 2, scale=0.08)
-    with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
-        szego_recursion(f, 2, tol)
-    szego_recursion(f, 2, 1e-8)
-
-
 def test_szego_recursion_factors_the_gram_once(monkeypatch):
     f = random_toeplitz(np.random.default_rng(25), 2, 3, scale=0.08)
     calls = count_linalg(monkeypatch, "cholesky", "eigh", "eigvalsh")
@@ -374,6 +365,30 @@ def test_constructed_basis_keeps_its_own_rows():
     rows[Word.of(1)] = {}
     assert basis.coeffs[EMPTY][EMPTY] == 1.0
     assert np.array_equal(basis.matrix(), before)
+
+
+A1, A11, A2 = Word((1,)), Word((1, 1)), Word((2,))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({EMPTY: {EMPTY: 1}, A1: {A11: 1, A1: 1}},
+     r"basis entry \(1, 1.1\): column 1.1 is not a word of length <= 1 on 1 generators"),
+    ({EMPTY: {EMPTY: 1}, A1: {A1: 1}, A11: {A11: 1}},
+     r"basis row 1.1 is not a word of length <= 1 on 1 generators"),
+    ({EMPTY: {EMPTY: 1}, A1: {A1: 1}, A2: {A2: 1}},
+     r"basis row 2 is not a word of length <= 1 on 1 generators"),
+    ({EMPTY: {EMPTY: 1, A1: 0.5}, A1: {A1: 1}}, r"basis entry \(e, 1\) lies above the diagonal"),
+    ({EMPTY: {EMPTY: 1}}, r"basis row 1 is missing"),
+], ids=["long-column", "long-row", "foreign-row", "above-diagonal", "missing-row"])
+def test_constructor_refuses_malformed_rows(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        OrthoBasis(n_generators=1, level=1, coeffs=rows)
+
+
+def test_constructor_takes_rows_that_leave_out_entries_below_the_diagonal():
+    rows = {EMPTY: {EMPTY: 1.0}, A1: {A1: 2.0}, A2: {EMPTY: 0.5, A2: 3.0}}
+    basis = OrthoBasis(n_generators=2, level=1, coeffs=rows)
+    assert np.array_equal(basis.matrix(), [[1, 0, 0], [0, 2, 0], [0.5, 0, 3]])
 
 
 TRI_ORDERS = list(range(1, 81)) + [121, 127, 255, 364]

@@ -28,6 +28,17 @@ def scalar_blocks(n_gen, a_vals, b_vals):
     return RecurrenceCoeffs(n_generators=n_gen, levels=len(a_vals), A=A, B=B)
 
 
+def test_coeffs_keep_their_own_blocks():
+    A, B = {(0, 1): [[0.0]]}, {(0, 1): np.ones((1, 1), dtype=complex)}
+    a, b = A[0, 1], B[0, 1]
+    coeffs = RecurrenceCoeffs(1, 1, A, B)
+    assert coeffs.A is not A and coeffs.B is not B
+    assert A == {(0, 1): [[0.0]]} and A[0, 1] is a and B[0, 1] is b
+    a[0][0], b[0, 0] = 5.0, 7.0
+    assert coeffs.A[0, 1][0, 0] == 0.0 and coeffs.B[0, 1][0, 0] == 1.0
+    assert coeffs.A[0, 1].dtype == coeffs.B[0, 1].dtype == complex
+
+
 def test_hermite_ladder():
     f = hankel_n1(gaussian_moments(8))
     basis = orthogonalize(f, 4)

@@ -8,6 +8,8 @@ bit for bit, the recurrence blocks to rounding, and every refusal of a
 perturbed input in its error class and message.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import Refused, offsets
 
-from ncpoly import errors
+from ncpoly import errors, recurrence
 from ncpoly.functional import (SYMMETRY_TOL, GramMatrix, _involution_defect,
                                from_representation, gram)
 from ncpoly.orthopoly import OrthoBasis, _cholesky_basis, orthogonalize
@@ -146,8 +148,9 @@ def test_recurrence_layer_matches_the_block_references(seed, shape, breaks, cond
     for what in breaks:
         perturb_blocks(rng, A, B, N, L, what)
     broken = RecurrenceCoeffs(n_generators=N, levels=L, A=A, B=B)
-    assert (outcome(broken.validate, cond_bound)
-            == outcome(oracles.block_validate, A, B, N, L, cond_bound))
+    with mock.patch.object(recurrence, "COND_BOUND", cond_bound):
+        got = outcome(broken.validate)
+    assert got == outcome(oracles.block_validate, A, B, N, L, cond_bound)
     if "nonfinite" not in breaks:  # the residual reads A as given, not symmetrized
         ref = oracles.block_residual(C, A, B, N, L)
         assert abs(_residual(C, broken) - ref) <= 1e-12 * scale * np.max(np.abs(C)) ** 2
