@@ -98,6 +98,30 @@ def test_membership_refuses_a_point_outside_the_ball():
     assert np.max(np.abs(cayley_inverse(siegel).mats - 0.5 * np.eye(2))) < 1e-14
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_membership_refuses_a_bad_tol(tol):
+    # norm 1.2: lambda_min(I - Z Z*) = -0.44, which a tol of -1 would call
+    # inside. The membership tests take no tol, so none can be passed to
+    # them, and every kernel sum that tests membership refuses a bad tol
+    # before it tests a point.
+    outside = OperatorTuple(n_generators=1, dim=2, mats=1.2 * np.eye(2)[None])
+    assert not membership(outside, "ball").inside
+    siegel = cayley(OperatorTuple(n_generators=1, dim=2, mats=0.5 * np.eye(2)[None]))
+    for check, t in ((lambda t, tol: membership(t, "ball", tol), outside),
+                     (lambda t, tol: opeval.require_membership(t, "ball", tol), outside),
+                     (cayley, outside), (cayley_inverse, siegel)):
+        with pytest.raises(TypeError):
+            check(t, tol)
+    flat = OperatorTuple(n_generators=1, dim=2, mats=np.zeros((1, 2, 2)))
+    assert not membership(flat, "siegel").inside
+    for run in (lambda: szego_ball(outside, outside, tol),
+                lambda: reproduction_check(outside, outside, np.eye(2), tol),
+                lambda: szego_siegel(flat, flat, tol),
+                lambda: f_sandwich(flat, flat, np.eye(2), tol)):
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            run()
+
+
 def test_ball_sandwich_matches_brute_force():
     # strongly contracted points keep the truncation short enough to
     # enumerate every word directly
