@@ -211,8 +211,13 @@ def _op_reproduce(args) -> tuple[str, dict, list]:
     region = args.random_region if args.random_points else None
     t, t2 = _load_points(args, region or "ball")
     T = serialize.load_matrix(args.t_matrix) if args.t_matrix else np.eye(t.dim)
-    res = opeval.reproduction_check(t, t2, T, tol=args.tol)
-    threshold = max(args.tol, res.tail_bound) + REPORT_SLACK
+    return _residual_report(opeval.reproduction_check(t, t2, T, tol=args.tol), args.tol)
+
+
+def _residual_report(res: opeval.ReproductionResult | opeval.CDFullResult,
+                     tol: float) -> tuple[str, dict, list]:
+    """Status and metrics of a kernel-sum residual, judged past its tail bound."""
+    threshold = max(tol, res.tail_bound) + REPORT_SLACK
     metrics = {"residual": res.residual, "tail_bound": res.tail_bound,
                "truncation_length": res.truncation_length,
                "threshold": threshold}
@@ -229,11 +234,7 @@ def _op_cd(args, full: bool) -> tuple[str, dict, list]:
     t, t2 = _load_points(args, "siegel")
     if full:
         res = opeval.cd_full_check(basis, coeffs, args.n, t, t2, tol=args.tol)
-        threshold = max(args.tol, res.tail_bound) + REPORT_SLACK
-        metrics = {"residual": res.residual, "tail_bound": res.tail_bound,
-                   "truncation_length": res.truncation_length,
-                   "threshold": threshold}
-        return ("ok" if res.residual <= threshold else "fail"), metrics, []
+        return _residual_report(res, args.tol)
     _require_tol(args.tol)  # the one threshold the command applies itself
     resid = opeval.cd_inner_identity(basis, coeffs, args.n, t, t2)
     metrics = {"residual": resid, "threshold": args.tol}

@@ -415,33 +415,20 @@ def separating_tuples(sigma: Word, unit_dim: int = 1,
     N = n_generators if n_generators is not None else max(sigma.letters)
     if max(sigma.letters) > N:
         raise ValidationError("word uses a letter beyond n_generators")
-    d = 2 * k * unit_dim
-    eye_u = np.eye(unit_dim)
-
-    def unit(i: int, j: int) -> np.ndarray:
-        # E_{ij} in 1-based indexing, inflated by the unit block
-        E = np.zeros((2 * k, 2 * k))
-        E[i - 1, j - 1] = 1.0
-        return np.kron(E, eye_u)
-
     letters = sigma.letters
     out = []
-    for p in range(1, k + 1):
-        mats = np.zeros((N, d, d), dtype=complex)
-        for s in range(1, N + 1):
-            rows = [l for l in range(1, k + 1) if letters[k - l] == s]
-            star = sum((unit(r + p - 1, r + p) for r in rows),
-                       np.zeros((d, d), dtype=complex))
-            mats[s - 1] = (star / np.sqrt(2.0)).conj().T
-        out.append(OperatorTuple(n_generators=N, dim=d, mats=mats, region="ball"))
-    for p in range(k + 1, 2 * k + 1):
-        mats = np.zeros((N, d, d), dtype=complex)
-        for s in range(1, N + 1):
-            rows = [l for l in range(1, k + 1) if letters[l - 1] == s]
-            star = sum((unit(r + p - k, r + p - k - 1) for r in rows),
-                       np.zeros((d, d), dtype=complex))
-            mats[s - 1] = (star / np.sqrt(2.0)).conj().T
-        out.append(OperatorTuple(n_generators=N, dim=d, mats=mats, region="ball"))
+    for p in range(1, 2 * k + 1):
+        # letter position l puts a unit of (Z^p_s)* at (l+p-1, l+p), or at
+        # (l+p-k, l+p-k-1) in the second family, counting from 1
+        star = np.zeros((N, 2 * k, 2 * k), dtype=complex)
+        for l in range(1, k + 1):
+            if p <= k:
+                star[letters[k - l] - 1, l + p - 2, l + p - 1] = 1.0
+            else:
+                star[letters[l - 1] - 1, l + p - k - 1, l + p - k - 2] = 1.0
+        Z = (np.kron(star, np.eye(unit_dim)) / np.sqrt(2.0)).conj().transpose(0, 2, 1)
+        out.append(OperatorTuple(n_generators=N, dim=2 * k * unit_dim,
+                                 mats=np.ascontiguousarray(Z), region="ball"))
     return out
 
 

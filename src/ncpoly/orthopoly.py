@@ -44,31 +44,32 @@ DETERMINANT_CAP = 21  # bordered-matrix order limit for the cross-check route
 
 
 class OrthoBasis:
-    """Triangular coefficients of an orthonormal family, rows by word.
+    """Triangular coefficients of an orthonormal family, held as one matrix.
 
-    Every basis holds the dense lower-triangular coefficient matrix over
-    graded-lex words, the form computations read. The constructor takes
-    Word-keyed ``coeffs`` rows, keeps them and builds the matrix from them at
-    once; a basis computed as a matrix (``orthogonalize``, ``favard``,
-    ``szego_recursion``) builds its rows on first read. Both are read-only,
-    so neither can go stale.
+    Every basis is its dense lower-triangular coefficient matrix over
+    graded-lex words, the form computations read. The Word-keyed rows
+    ``coeffs`` are a read-only view of it built on first read, so they
+    cannot go stale. The constructor checks Word-keyed ``coeffs`` rows into
+    the matrix and keeps nothing else; ``orthogonalize``, ``favard`` and
+    ``szego_recursion`` hand over the matrix they computed.
 
     The constructor raises ValidationError naming the word when a row or
     column word is not among the words of length <= level, an entry lies
     above the diagonal (its column word comes after its row word) or a row
-    is missing. A row may leave out entries below its diagonal; they are zero.
+    is missing. A row may leave out entries below its diagonal; they are
+    zero, and ``coeffs`` lists them as zeros.
     """
 
     def __init__(self, n_generators: int, level: int,
                  coeffs: dict[Word, dict[Word, complex]]):
         self.n_generators = n_generators
         self.level = level
-        self._coeffs = _readonly_rows(coeffs)
-        self._matrix = _rows_matrix(self._coeffs, n_generators, level)
+        self._coeffs = None
+        self._matrix = _rows_matrix(coeffs, n_generators, level)
 
     @classmethod
     def _from_matrix(cls, n_generators: int, level: int, A: np.ndarray) -> "OrthoBasis":
-        """A basis kept as the lower triangle of A, whose rows are graded-lex words."""
+        """A basis held as the lower triangle of A, whose rows are graded-lex words."""
         basis = cls.__new__(cls)
         basis.n_generators, basis.level = n_generators, level
         basis._coeffs = None
@@ -79,18 +80,19 @@ class OrthoBasis:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.n_generators, self.level, self.coeffs)
-                == (other.n_generators, other.level, other.coeffs))
+        return ((self.n_generators, self.level) == (other.n_generators, other.level)
+                and np.array_equal(self._matrix, other._matrix))
 
     __hash__ = None
 
     @property
     def coeffs(self) -> Mapping[Word, Mapping[Word, complex]]:
-        """Read-only rows {sigma: {tau: a_{sigma,tau}}}, built from the matrix on first read."""
+        """Read-only rows {sigma: {tau: a_{sigma,tau}}, tau <= sigma}, built on first read."""
         if self._coeffs is None:
             A, ws = self._matrix, self.words()
-            self._coeffs = _readonly_rows(
-                {w: dict(zip(ws[:i + 1], A[i, :i + 1].tolist())) for i, w in enumerate(ws)})
+            self._coeffs = MappingProxyType(
+                {w: MappingProxyType(dict(zip(ws[:i + 1], A[i, :i + 1].tolist())))
+                 for i, w in enumerate(ws)})
         return self._coeffs
 
     def words(self) -> list[Word]:
@@ -99,18 +101,21 @@ class OrthoBasis:
     def matrix(self, level: int | None = None) -> np.ndarray:
         """Dense lower-triangular coefficient matrix over graded-lex words (a copy)."""
         lvl = self.level if level is None else level
+        if lvl < 0:
+            raise ValidationError(f"level must be >= 0, got {lvl}")
         if lvl > self.level:
             raise ValidationError(f"basis only valid to level {self.level}")
         n = level_offsets(self.n_generators, lvl)[-1]
         return self._matrix[:n, :n].copy()
 
     def leading(self, w: Word) -> float:
-        return float(np.real(self.coeffs[w][w]))
-
-
-def _readonly_rows(coeffs: dict[Word, dict[Word, complex]]
-                   ) -> Mapping[Word, Mapping[Word, complex]]:
-    return MappingProxyType({w: MappingProxyType(dict(row)) for w, row in coeffs.items()})
+        """a_{w,w}, read off the diagonal."""
+        N = self.n_generators
+        if len(w) > self.level or max(w.letters, default=0) > N:
+            raise ValidationError(
+                f"{w} is not a word of length <= {self.level} on {N} generators")
+        i = global_index(w, N)
+        return float(self._matrix[i, i].real)
 
 
 def _rows_matrix(rows: Mapping[Word, Mapping[Word, complex]], n_generators: int,

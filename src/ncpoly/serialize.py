@@ -179,14 +179,11 @@ def load_basis(path: str) -> OrthoBasis:
 
 
 def save_basis(basis: OrthoBasis, path: str) -> None:
-    if basis._coeffs is None:
-        # held as its matrix: row i has the words up to its own, zeros included
-        names = [str(w) for w in basis.words()]
-        P = np.stack((basis._matrix.real, basis._matrix.imag), -1)
-        rows = {s: dict(zip(names, P[i, :i + 1].tolist())) for i, s in enumerate(names)}
-    else:
-        rows = {str(s): {str(t): _cx(a) for t, a in row.items()}
-                for s, row in sorted(basis.coeffs.items(), key=lambda kv: kv[0].sort_key())}
+    # row i lists the words up to its own, zeros included
+    names = [str(w) for w in basis.words()]
+    A = basis.matrix()
+    P = np.stack((A.real, A.imag), -1)
+    rows = {s: dict(zip(names, P[i, :i + 1].tolist())) for i, s in enumerate(names)}
     _write(path, {"n_generators": basis.n_generators, "level": basis.level, "coeffs": rows})
 
 

@@ -243,6 +243,38 @@ def siegel_middle(W: np.ndarray, W2: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.linalg.solve((1j * eye + W2[-1]).conj(), X.T).T
 
 
+def separating_mats(letters: tuple[int, ...], unit_dim: int, n_gen: int) -> list[np.ndarray]:
+    """The matrices of each separating tuple, two families summed unit by unit.
+
+    First family (p <= k): (Z^p_s)* sums the inflated units E_{r+p-1, r+p}
+    over the positions r with letters[k - r] == s; second family (p > k): the
+    units E_{r+p-k, r+p-k-1} over the r with letters[r - 1] == s.
+    """
+    k = len(letters)
+    d = 2 * k * unit_dim
+    eye_u = np.eye(unit_dim)
+
+    def unit(i: int, j: int) -> np.ndarray:
+        E = np.zeros((2 * k, 2 * k))
+        E[i - 1, j - 1] = 1.0
+        return np.kron(E, eye_u)
+
+    out = []
+    for p in range(1, 2 * k + 1):
+        mats = np.zeros((n_gen, d, d), dtype=complex)
+        for s in range(1, n_gen + 1):
+            if p <= k:
+                rows = [r for r in range(1, k + 1) if letters[k - r] == s]
+                units = (unit(r + p - 1, r + p) for r in rows)
+            else:
+                rows = [r for r in range(1, k + 1) if letters[r - 1] == s]
+                units = (unit(r + p - k, r + p - k - 1) for r in rows)
+            star = sum(units, np.zeros((d, d), dtype=complex))
+            mats[s - 1] = (star / np.sqrt(2.0)).conj().T
+        out.append(mats)
+    return out
+
+
 # --- per-block references for the whole-level moment pipeline ---------------
 #
 # These are the block-by-block loops the library used before it read every

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncpoly import opeval
 from ncpoly.errors import ConvergenceError, MembershipError, ValidationError
-from ncpoly.functional import MEMBERSHIP_TOL, _proves_above, from_representation
+from ncpoly.functional import MEMBERSHIP_TOL, _proves_above, from_representation, gram
 from ncpoly.opeval import (SANDWICH_CAP, OperatorTuple, _cd_bracket, ball_sandwich,
                            cayley, cayley_inverse, cd_full_check, cd_inner_identity, cd_kernel,
                            defect,
@@ -15,7 +15,8 @@ from ncpoly.opeval import (SANDWICH_CAP, OperatorTuple, _cd_bracket, ball_sandwi
                            random_ball_tuple, random_siegel_tuple,
                            reproducing_residual, reproduction_check,
                            separating_tuples, szego_ball, szego_siegel)
-from ncpoly.orthopoly import OrthoBasis, evaluate, orthogonalize, word_product
+from ncpoly.orthopoly import (OrthoBasis, evaluate, orthogonalize,
+                              orthonormality_residual, word_product)
 from ncpoly.recurrence import extract
 from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
 
@@ -561,6 +562,18 @@ def test_separating_tuples_unit_dim_inflation():
     assert np.max(np.abs(star[0:3, 3:6] - np.eye(3) / np.sqrt(2))) < 1e-14
 
 
+@pytest.mark.parametrize("letters, unit_dim, N", [
+    ((1,), 1, 1), ((1, 2), 1, 2), ((2, 1, 1), 1, 2), ((1, 2), 3, 3),
+    ((3, 1, 3, 2), 2, 3), ((2, 2), 1, 2)])
+def test_separating_tuples_match_the_unit_sums_bit_for_bit(letters, unit_dim, N):
+    tuples = separating_tuples(Word(letters), unit_dim=unit_dim, n_generators=N)
+    want = oracles.separating_mats(letters, unit_dim, N)
+    assert len(tuples) == len(want)
+    for t, mats in zip(tuples, want):
+        assert t.mats.flags.c_contiguous
+        assert np.array_equal(t.mats.view(np.uint64), mats.view(np.uint64))
+
+
 def test_separating_needs_nonempty_word():
     with pytest.raises(ValidationError):
         separating_tuples(EMPTY)
@@ -719,6 +732,19 @@ def test_reproducing_residual_on_a_toeplitz_functional():
     t = random_ball_tuple(rng, 2, 3, margin=0.4)
     p = {w: complex(rng.standard_normal(), rng.standard_normal()) for w in words_up_to(3, 2)}
     assert reproducing_residual(f, basis, 3, p, t) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, basis, t, G: cd_kernel(basis, -1, t, t),
+    lambda f, basis, t, G: evaluate_all(basis, -1, t),
+    lambda f, basis, t, G: reproducing_residual(f, basis, -1, {}, t),
+    lambda f, basis, t, G: orthonormality_residual(basis, G, level=-1),
+], ids=["cd_kernel", "evaluate_all", "reproducing_residual", "orthonormality_residual"])
+def test_negative_level_is_refused(call):
+    rng, f, basis, coeffs = rep_setup()
+    t = random_siegel_tuple(rng, 2, 2, margin=0.4)
+    with pytest.raises(ValidationError, match="level must be >= 0, got -1"):
+        call(f, basis, t, gram(f, 3))
 
 
 def test_random_tuple_margins():

@@ -391,6 +391,33 @@ def test_constructor_takes_rows_that_leave_out_entries_below_the_diagonal():
     assert np.array_equal(basis.matrix(), [[1, 0, 0], [0, 2, 0], [0.5, 0, 3]])
 
 
+def test_sparse_rows_equal_their_dense_twin_and_read_back_with_zeros():
+    sparse = {EMPTY: {EMPTY: 1.0}, A1: {A1: 2.0}, A2: {EMPTY: 0.5, A2: 3.0}}
+    dense = {EMPTY: {EMPTY: 1.0}, A1: {EMPTY: 0.0, A1: 2.0},
+             A2: {EMPTY: 0.5, A1: 0.0, A2: 3.0}}
+    basis = OrthoBasis(n_generators=2, level=1, coeffs=sparse)
+    assert basis._coeffs is None          # no Word-keyed rows until coeffs is read
+    assert basis == OrthoBasis(n_generators=2, level=1, coeffs=dense)
+    assert {s: dict(row) for s, row in basis.coeffs.items()} == dense
+    assert [list(row) for row in basis.coeffs.values()] == [[EMPTY], [EMPTY, A1],
+                                                            [EMPTY, A1, A2]]
+    assert basis != OrthoBasis(n_generators=2, level=1,
+                               coeffs={**dense, A2: {EMPTY: 0.5, A1: 0.1, A2: 3.0}})
+
+
+def test_leading_reads_the_diagonal():
+    basis = orthogonalize(random_toeplitz(np.random.default_rng(65), 2, 2), 2)
+    assert [basis.leading(w) for w in basis.words()] == basis.matrix().diagonal().real.tolist()
+
+
+@pytest.mark.parametrize("w", [A11, Word((3,))], ids=["too-long", "foreign-letter"])
+def test_leading_refuses_a_word_outside_the_basis(w):
+    basis = OrthoBasis(n_generators=2, level=1,
+                       coeffs={EMPTY: {EMPTY: 1.0}, A1: {A1: 1.0}, A2: {A2: 1.0}})
+    with pytest.raises(ValidationError, match=f"{w} is not a word of length <= 1 on 2 generators"):
+        basis.leading(w)
+
+
 TRI_ORDERS = list(range(1, 81)) + [121, 127, 255, 364]
 
 

@@ -284,8 +284,10 @@ def test_sparse_constructor_basis_writes_its_own_entries(tmp_path):
     save_basis(OrthoBasis(n_generators=2, level=1, coeffs=rows), path)
     with open(path) as fh:
         data = json.load(fh)
-    assert data["coeffs"] == {"e": {"e": [1.0, 0.0]}, "1": {"1": [2.0, 0.0]},
-                              "2": {"e": [0.5, 0.0], "2": [-0.0, 0.0]}}
+    assert data["coeffs"] == {"e": {"e": [1.0, 0.0]}, "1": {"e": [0.0, 0.0], "1": [2.0, 0.0]},
+                              "2": {"e": [0.5, 0.0], "1": [0.0, 0.0], "2": [-0.0, 0.0]}}
+    assert [list(row) for row in data["coeffs"].values()] == [["e"], ["e", "1"], ["e", "1", "2"]]
+    assert np.signbit(data["coeffs"]["2"]["2"][0])
 
 
 def test_files_are_one_line_of_json(tmp_path):
