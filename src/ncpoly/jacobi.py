@@ -10,12 +10,15 @@ that feels the cut.
 
 A family is built once and read many times, so on first use it keeps its
 column orbit J_q e_0 for |q| <= L + 1 by graded-lex rank
-(``functional._orbit``), the moments to length 2L + 1 read off it by
-``functional._hankel_moments``, one array per length, and a prefix and a
-suffix index from letters to rank. The rows are not kept: the J_k are
-Hermitian, so e_0^T J_p = conj(J_{I(p)} e_0)^T. A word sigma = p.b.q then
-has <J_sigma e_0, e_0> = <J_b J_q e_0, J_{I(p)} e_0>; b is empty whenever
-|sigma| <= 2L + 1, and the moment is one array entry, at the rank of p.q.
+(``functional._orbit``) and the moments to length 2L + 1 read off it by
+``functional._hankel_moments``, as one flat graded-lex list. Letters go to
+their graded-lex index through ``words._letter_ranks(N, 2L + 1)``, one dict
+per shape that every family of that shape shares. A word of length
+<= 2L + 1 is then one dict lookup and one list read. The rows are not
+kept: the J_k are Hermitian, so e_0^T J_p = conj(J_{I(p)} e_0)^T. A longer
+word sigma = p.b.q, |p| = L, |q| = L + 1, has <J_sigma e_0, e_0> =
+<J_b J_q e_0, J_{I(p)} e_0>, with the ranks of q and I(p) read off the same
+table.
 
 ``hamburger_check`` answers the positivity question for a finite moment set:
 a PSD kernel is necessary and sufficient, and strict positivity comes with a
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .functional import (CERTIFICATE_CUTOFF, STRICT_TOL, SYMMETRY_TOL, MomentFun
                          _min_eigenvalue, _orbit, _ranked, _require_tol, _view_arrays, gram)
 from .orthopoly import _cholesky_basis
 from .recurrence import RecurrenceCoeffs, _band, extract
-from .words import EMPTY, Word
+from .words import EMPTY, Word, _letter_ranks, level_offsets
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,12 @@ class JacobiFamily(tuple):
     """J_1..J_N of one truncation: an immutable sequence of ``BlockJacobi``.
 
     ``_vacuum`` is computed on first use and kept: the column orbit J_q e_0
-    for |q| <= level + 1 by graded-lex rank, the moments to length
-    2 level + 1 that ``functional._hankel_moments`` reads off it, one array
-    per length, and a prefix and a suffix index from letters to rank. The
-    row orbit is not kept: e_0^T J_p = conj(J_{I(p)} e_0)^T. Together they
-    hold about (2N - 1) / N times the entries of the matrices.
+    for |q| <= level + 1 by graded-lex rank, and the moments to length
+    2 level + 1 that ``functional._hankel_moments`` reads off it, as one
+    flat graded-lex list. The row orbit is not kept: e_0^T J_p =
+    conj(J_{I(p)} e_0)^T. The letters-to-rank table is not the family's
+    own: ``words._letter_ranks`` keeps one per (N, 2 level + 1), at about
+    180 bytes a word, for every family of that shape.
     """
 
     def __new__(cls, operators):
@@ -80,24 +84,23 @@ class JacobiFamily(tuple):
         return family
 
     @cached_property
-    def _vacuum(self) -> tuple[list[np.ndarray], list[np.ndarray],
-                               dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-        """(cols, moments, prefix, suffix).
+    def _vacuum(self) -> tuple[list[np.ndarray], list[complex],
+                               dict[tuple[int, ...], int], list[int]]:
+        """(cols, moments, ranks, offs).
 
-        cols[n][r] = J_q e_0 and moments[n][r] = <J_w e_0, e_0> for the
-        length-n q and w of rank r; suffix[q.letters] = rank(q) for
-        |q| <= level + 1 and prefix[p.letters] = rank(p) N^(level + 1) for
-        |p| <= level, so a word p.q with |q| = level + 1 (or p empty) has
-        rank prefix[p] + suffix[q]. Letters beyond N are in neither index.
+        cols[n][r] = J_q e_0 for the length-n q of rank r, |q| <= level + 1;
+        moments[ranks[w.letters]] = <J_w e_0, e_0> for |w| <= 2 level + 1,
+        where ranks is the shared ``words._letter_ranks(N, 2 level + 1)``;
+        offs[n] is the graded-lex index of the first word of length n, so
+        ranks[q.letters] - offs[|q|] is the rank of q within its length.
+        Letters beyond N are not in ranks.
         """
         N, level = len(self), self[0].level
+        top = 2 * level + 1
         cols = _orbit([J.matrix for J in self], np.eye(1, self[0].size, dtype=complex),
                       level + 1)
-        suffix = {key: r for n in range(level + 2)
-                  for r, key in enumerate(product(range(1, N + 1), repeat=n))}
-        step = N ** (level + 1)
-        prefix = {key: r * step for key, r in suffix.items() if len(key) <= level}
-        return cols, _hankel_moments(cols, N, 2 * level + 1), prefix, suffix
+        moments = np.concatenate(_hankel_moments(cols, N, top)).tolist()
+        return cols, moments, _letter_ranks(N, top), level_offsets(N, level + 1)
 
 
 def build(coeffs: RecurrenceCoeffs, level: int) -> JacobiFamily:
@@ -142,27 +145,25 @@ def moment(family: Sequence[BlockJacobi], sigma: Word) -> MomentValue:
     2*level + 1 by the band argument, but past the truncation level the
     caller should not extend trust without checking. The value is read from
     the family's cached vacuum data (a plain list is wrapped for the call):
-    sigma splits as p.b.q with |q| = min(|sigma|, level + 1) and |p| =
-    min(|sigma| - |q|, level). The middle b is empty up to length
-    2*level + 1, where the moment is read by the rank of p.q; past it, each
-    letter of b costs one matvec on J_q e_0, paired with J_{I(p)} e_0.
+    up to length 2*level + 1 it is the list entry at sigma's graded-lex
+    index. Past it, sigma splits as p.b.q with |p| = level and |q| =
+    level + 1, and each letter of b costs one matvec on J_q e_0, paired with
+    J_{I(p)} e_0.
     """
     if not isinstance(family, JacobiFamily):
         family = JacobiFamily(family)
-    N, level = len(family), family[0].level
+    cols, moments, ranks, offs = family._vacuum
     letters = sigma.letters
-    n = len(letters)
-    # min() by comparison: the builtin's call is a tenth of this function's time
-    c = n if n <= level + 1 else level + 1
-    a = n - c if n - c <= level else level
-    cols, moments, prefix, suffix = family._vacuum
-    p, q = prefix.get(letters[:a]), suffix.get(letters[n - c:])
-    if p is None or q is None or (a + c < n and max(letters) > N):
+    level = family[0].level
+    r = ranks.get(letters)
+    if r is not None:
+        return MomentValue(moments[r], len(letters) > level)
+    N, n = len(family), len(letters)
+    if n <= 2 * level + 1 or max(letters) > N:
         raise ValidationError(f"word {sigma} uses letters beyond {N} generators")
-    if a + c == n:
-        return MomentValue(moments[n].item(p + q), n > level)
-    col = word_apply(family, letters[a:n - c], cols[c][q])
-    row = cols[a][suffix[letters[:a][::-1]]]
+    c = level + 1
+    col = word_apply(family, letters[level:n - c], cols[c][ranks[letters[n - c:]] - offs[c]])
+    row = cols[level][ranks[letters[:level][::-1]] - offs[level]]
     return MomentValue(complex(np.vdot(row, col)), True)
 
 

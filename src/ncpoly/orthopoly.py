@@ -53,15 +53,18 @@ class OrthoBasis:
     the matrix and keeps nothing else; ``orthogonalize``, ``favard`` and
     ``szego_recursion`` hand over the matrix they computed.
 
-    The constructor raises ValidationError naming the word when a row or
-    column word is not among the words of length <= level, an entry lies
-    above the diagonal (its column word comes after its row word) or a row
-    is missing. A row may leave out entries below its diagonal; they are
-    zero, and ``coeffs`` lists them as zeros.
+    The constructor raises ValidationError naming the level when it is
+    below 0, and naming the word when a row or column word is not among the
+    words of length <= level, an entry lies above the diagonal (its column
+    word comes after its row word) or a row is missing. A row may leave out
+    entries below its diagonal; they are zero, and ``coeffs`` lists them as
+    zeros.
     """
 
     def __init__(self, n_generators: int, level: int,
                  coeffs: dict[Word, dict[Word, complex]]):
+        if level < 0:
+            raise ValidationError(f"basis level must be >= 0, got {level}")
         self.n_generators = n_generators
         self.level = level
         self._coeffs = None

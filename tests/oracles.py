@@ -186,6 +186,41 @@ def chain_moment(mats, v, letters: tuple[int, ...]) -> complex:
     return complex(np.vdot(v, x))
 
 
+@lru_cache(maxsize=None)
+def _prefix_suffix(n_gen: int, level: int) -> tuple[dict, dict]:
+    """suffix[q] = rank(q) for |q| <= level + 1, prefix[p] = rank(p) N^(level + 1) for |p| <= level."""
+    suffix = {key: r for n in range(level + 2)
+              for r, key in enumerate(product(range(1, n_gen + 1), repeat=n))}
+    step = n_gen ** (level + 1)
+    return {key: r * step for key, r in suffix.items() if len(key) <= level}, suffix
+
+
+def prefix_suffix_moment(mats, cols, moments, letters: tuple[int, ...],
+                         level: int) -> tuple[complex, bool]:
+    """(<J_w e_0, e_0>, |w| > level) by a prefix and a suffix index from letters to rank.
+
+    ``cols[n][r]`` is J_q e_0 for the length-n q of rank r, n <= level + 1,
+    and ``moments[n]`` the moments of the length-n words by rank, one array
+    per length to 2 level + 1; ``mats`` are the J_k. The word splits as
+    p.b.q with |q| = min(|w|, level + 1) and |p| = min(|w| - |q|, level). Up
+    to length 2 level + 1, b is empty and the value is the entry at
+    rank(p) N^|q| + rank(q); past it, each letter of b is one matvec on
+    J_q e_0, paired with J_{I(p)} e_0. Every letter must be at most N.
+    """
+    n = len(letters)
+    prefix, suffix = _prefix_suffix(len(mats), level)
+    c = min(n, level + 1)
+    a = min(n - c, level)
+    p, q = prefix[letters[:a]], suffix[letters[n - c:]]
+    if a + c == n:
+        return moments[n].item(p + q), n > level
+    col = np.asarray(cols[c][q], dtype=complex)
+    for letter in reversed(letters[a:n - c]):
+        col = mats[letter - 1] @ col
+    row = cols[a][suffix[letters[:a][::-1]]]
+    return complex(np.vdot(row, col)), True
+
+
 def per_length_moments(vecs, n_gen: int, top: int) -> list[np.ndarray]:
     """<x_w, x_e> to length top from an orbit, one matrix product per length.
 

@@ -341,6 +341,19 @@ def test_kernel_cd_refuses_a_malformed_basis(capsys, tmp_path, rows):
     assert "basis" in rep["metrics"]["message"]
 
 
+def test_kernel_cd_refuses_a_basis_of_negative_level(capsys, tmp_path):
+    basis, coeffs = str(tmp_path / "basis.json"), str(tmp_path / "coeffs.json")
+    with open(basis, "w") as fh:
+        json.dump({"n_generators": 1, "level": -1, "coeffs": {}}, fh)
+    save_coeffs(scalar_blocks(1, [0.0], [1.0]), coeffs)
+    code, rep = run(capsys, "kernel", "--op", "cd-inner", "--basis", basis, "--coeffs", coeffs,
+                    "--n", "0", "--random-points", "--random-region", "siegel",
+                    "--n-gen", "1", "--dim", "2")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert rep["metrics"]["message"] == "basis level must be >= 0, got -1"
+
+
 def test_kernel_reproduce_refuses_a_ball_tagged_point_outside_the_ball(capsys, tmp_path):
     path = str(tmp_path / "out.json")
     save_point(OperatorTuple(n_generators=2, dim=2, mats=[1.5 * np.eye(2), np.zeros((2, 2))],

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_moment, fock_moment, gaussian_moments
+from oracles import chain_moment, fock_moment, gaussian_moments, prefix_suffix_moment
 
 from ncpoly import functional as functional_mod
 from ncpoly import jacobi as jacobi_mod
 from ncpoly.errors import DataIncompleteError, ValidationError
-from ncpoly.functional import (STRICT_TOL, MomentFunctional, _involution_defect,
-                               from_representation, strict_positivity)
+from ncpoly.functional import (STRICT_TOL, MomentFunctional, _hankel_moments,
+                               _involution_defect, _orbit, from_representation,
+                               strict_positivity)
 from ncpoly.jacobi import build, hamburger_check, moment, word_apply
 from ncpoly.orthopoly import orthogonalize
 from ncpoly.recurrence import extract
-from ncpoly.words import EMPTY, Word, enumerate_level, words_up_to
+from ncpoly.words import EMPTY, Word, enumerate_level, level_offsets, words_up_to
 
 from test_functional import count_linalg, random_representation
 from test_recurrence import hankel_n1, scalar_blocks
@@ -245,6 +246,44 @@ def test_moment_builds_no_word(monkeypatch):
         moment(fam, w)
     moment(list(fam), ws[-1])
     assert built == []
+
+
+def bits(value: complex, truncated: bool) -> tuple:
+    return value.real.hex(), value.imag.hex(), truncated
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_gen=st.integers(1, 3), level=st.integers(0, 3), data=st.data())
+def test_moment_reads_the_prefix_suffix_values_bit_for_bit(n_gen, level, data):
+    # the oracle reads the same orbit and moment arrays through its own
+    # prefix and suffix indices, so this checks the readout alone
+    fam = random_family(n_gen, level)
+    mats = [J.matrix for J in fam]
+    cols = _orbit(mats, np.eye(1, fam[0].size, dtype=complex), level + 1)
+    moments = _hankel_moments(cols, n_gen, 2 * level + 1)
+    longer = data.draw(st.lists(st.lists(st.integers(1, n_gen), min_size=2 * level + 2,
+                                         max_size=2 * level + 6), min_size=1, max_size=4),
+                       label="longer")
+    ws = words_up_to(2 * level + 1, n_gen)
+    for w in ws + [Word(tuple(letters)) for letters in longer]:
+        want = bits(*prefix_suffix_moment(mats, cols, moments, w.letters, level))
+        mv = moment(fam, w)
+        assert type(mv.value) is complex
+        assert bits(mv.value, mv.truncated) == want, w
+    for w in (ws[-1], Word(tuple(longer[0]))):
+        mv = moment(list(fam), w)
+        assert bits(mv.value, mv.truncated) == bits(
+            *prefix_suffix_moment(mats, cols, moments, w.letters, level))
+
+
+def test_families_of_one_shape_share_one_rank_table():
+    fock = fock_functional(2, 6)
+    fams = [build(extract(fock, orthogonalize(fock, 3), 3), 2), random_family(2, 2)]
+    tables = [fam._vacuum[2] for fam in fams]
+    assert tables[0] is tables[1]
+    assert len(tables[0]) == level_offsets(2, 5)[-1] == len(words_up_to(5, 2))
+    assert random_family(2, 1)._vacuum[2] is not tables[0]
+    assert len(random_family(3, 1)._vacuum[2]) == len(words_up_to(3, 3))
 
 
 @st.composite

@@ -385,6 +385,12 @@ def test_constructor_refuses_malformed_rows(rows, message):
         OrthoBasis(n_generators=1, level=1, coeffs=rows)
 
 
+@pytest.mark.parametrize("level", [-1, -3])
+def test_constructor_refuses_a_negative_level(level):
+    with pytest.raises(ValidationError, match=f"basis level must be >= 0, got {level}"):
+        OrthoBasis(n_generators=1, level=level, coeffs={})
+
+
 def test_constructor_takes_rows_that_leave_out_entries_below_the_diagonal():
     rows = {EMPTY: {EMPTY: 1.0}, A1: {A1: 2.0}, A2: {EMPTY: 0.5, A2: 3.0}}
     basis = OrthoBasis(n_generators=2, level=1, coeffs=rows)

@@ -290,6 +290,14 @@ def test_sparse_constructor_basis_writes_its_own_entries(tmp_path):
     assert np.signbit(data["coeffs"]["2"]["2"][0])
 
 
+def test_load_basis_refuses_a_negative_level(tmp_path):
+    path = str(tmp_path / "basis.json")
+    with open(path, "w") as fh:
+        json.dump({"n_generators": 1, "level": -1, "coeffs": {}}, fh)
+    with pytest.raises(ValidationError, match="basis level must be >= 0, got -1"):
+        load_basis(path)
+
+
 def test_files_are_one_line_of_json(tmp_path):
     path = str(tmp_path / "t.json")
     save_matrix(np.eye(3), path)
